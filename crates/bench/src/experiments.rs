@@ -1241,7 +1241,9 @@ pub fn profile(scale: Scale) -> ExpOutput {
          artifact.\n\n{}\n\
          Throughput: prefill {:.0} tok/s, cached decode {:.0} tok/s,\n\
          evaluation {:.1} users/s; {} beam expansions over {} trie-node\n\
-         visits, {} KV-cache advances.\n\n\
+         visits, {} KV-cache advances (decode rows: `width × (levels − 1)`\n\
+         per request — the last level's pruned candidates are finalized\n\
+         without a cache clone or an LM step).\n\n\
          Bit-identity under instrumentation (1 vs 4 threads): RQ-VAE\n\
          losses {}, seqrec losses {}, beam rankings {}, eval metrics {}.\n",
         markdown_table(&["Phase", "span", "calls", "total", "mean"], &rows),

@@ -7,25 +7,31 @@
 //! Beams share the prompt's KV cache by cloning, which is cheap at these
 //! model sizes and exactly reproduces the paper's KV-cache optimization.
 //!
-//! Per level, candidate scoring fans out over the surviving beams on an
-//! [`lcrec_par::Pool`] and reassembles in beam order; the transformer step
-//! then runs **every** pruned candidate through one fused, allocation-free
-//! weight pass ([`CausalLm::advance_batch_fused`]) against a reusable
-//! [`DecodeScratch`]. Scoring applies **top-k pre-pruning**: each beam
-//! keeps only its `beam_size` best legal continuations before the global
-//! prune — provably without changing the result (see `score_beam`'s doc
-//! comment) — so
-//! the cross-beam sort never sees more than `beam_size²` candidates.
-//! Parallel and serial runs return bit-identical hypotheses (see DESIGN.md
-//! "Threading model").
+//! There is **one** search loop, [`multi_constrained_beam_search_scratch`],
+//! generic over how many prompts it decodes at once; every other entry
+//! point is a thin wrapper (a single request is its `n = 1` case). Per
+//! level it
 //!
-//! The serving path adds a second axis of batching:
-//! [`multi_constrained_beam_search_with`] decodes many prompts at once,
-//! sharing each transformer step across *every* request's surviving
-//! candidates. Scoring, pruning and finalization reuse the single-request
-//! helpers, so the batched decode is bit-identical to running
-//! [`constrained_beam_search_with`] once per request — the contract
-//! `tests/serving.rs` pins.
+//! 1. scores every `(request, beam)` pair, fanned out over an
+//!    [`lcrec_par::Pool`] and reassembled in pair order, with **top-k
+//!    pre-pruning**: each beam keeps only its request's `width` best legal
+//!    continuations — provably without changing the result (see
+//!    `score_beam`'s doc comment) — so a request's cross-beam sort never
+//!    sees more than `width²` candidates;
+//! 2. prunes each request to its own width with a stable sort;
+//! 3. on every level **but the last**, runs every request's surviving
+//!    candidates through one fused transformer step
+//!    ([`CausalLm::advance_batch_fused`], lane-parallel over the same
+//!    pool) on clones of their source caches. After the last level's prune
+//!    the `(prefix + code, logprob)` pairs go straight to `finalize`:
+//!    nothing reads the logits that follow a complete index, so no cache is
+//!    cloned and no LM step is run for them.
+//!
+//! Requests share weight passes but never state — each has its own KV
+//! caches, candidate list and pruning cut — and the fused step is
+//! bit-identical per row, so a request's hypotheses do not depend on its
+//! batch-mates, the batch size or the thread count (see DESIGN.md
+//! "Threading model"; `tests/serving.rs` and `tests/decode.rs` pin it).
 //!
 //! [`constrained_beam_search_graph`] is the pre-KV-cache baseline: the
 //! same search driven by full autograd-graph re-forwards
@@ -53,6 +59,23 @@ struct Beam {
     logits: Vec<f32>,
     prefix: Vec<u16>,
     logprob: f32,
+}
+
+/// One pruned candidate: request `ri`'s beam `src` extended by `code`.
+struct Job<'b> {
+    ri: usize,
+    src: &'b Beam,
+    code: u16,
+    logprob: f32,
+}
+
+impl Job<'_> {
+    fn prefix(&self) -> Vec<u16> {
+        let mut prefix = Vec::with_capacity(self.src.prefix.len() + 1);
+        prefix.extend_from_slice(&self.src.prefix);
+        prefix.push(self.code);
+        prefix
+    }
 }
 
 /// Scores one beam's legal continuations: the beam's log-softmax over the
@@ -153,11 +176,15 @@ pub fn constrained_beam_search(
     constrained_beam_search_with(&Pool::from_env(), lm, vocab, trie, prompt, beam_size)
 }
 
-/// [`constrained_beam_search`] with an explicit thread pool. Output is
+/// [`constrained_beam_search`] with an explicit thread pool: the `n = 1`
+/// case of [`multi_constrained_beam_search_scratch`]. Output is
 /// bit-identical (item ids **and** log-probabilities) at every thread
 /// count: candidate lists are flattened in beam order, the pruning sort is
-/// stable, and the fused batched transformer step accumulates strictly row
-/// by row, so no first-come-first-served effect can leak into scores.
+/// stable, and the fused transformer step computes every row on its own,
+/// so no first-come-first-served effect can leak into scores. A zero
+/// `beam_size` returns nothing rather than panicking (the serving layer
+/// rejects `k = 0` with a typed error before it gets here; this keeps the
+/// library call total for direct users too).
 pub fn constrained_beam_search_with(
     pool: &Pool,
     lm: &CausalLm,
@@ -166,80 +193,10 @@ pub fn constrained_beam_search_with(
     prompt: &[u32],
     beam_size: usize,
 ) -> Vec<Hypothesis> {
-    // A zero-width beam asks for nothing: return nothing rather than panic.
-    // (The serving layer rejects `k = 0` with a typed error before it gets
-    // here; this keeps the library call total for direct users too.)
-    if beam_size == 0 {
-        return Vec::new();
-    }
-    let obs_on = lcrec_obs::enabled();
-    let _span = lcrec_obs::span("beam.decode");
     let mut scratch = lm.new_scratch();
-    let mut cache = lm.new_cache();
-    let logits = lm
-        .prefill_batch_fused(&mut scratch, std::slice::from_mut(&mut cache), &[prompt])
+    multi_constrained_beam_search_scratch(pool, lm, vocab, trie, &[prompt], &[beam_size], &mut scratch)
         .pop()
-        .unwrap_or_default();
-    let mut beams =
-        vec![Beam { cache, logits, prefix: Vec::new(), logprob: 0.0 }];
-    let vocab_n = lm.config().vocab;
-    for _level in 0..trie.levels() {
-        if obs_on {
-            lcrec_obs::counter_add("beam.trie_visits", beams.len() as u64);
-        }
-        let score_watch = lcrec_obs::stopwatch();
-        // Phase 1 — candidate scoring, parallel over surviving beams.
-        // Each beam's log-softmax over the full vocabulary is restricted to
-        // legal codes (illegal tokens get probability 0) and pre-pruned to
-        // the beam width (exact; see `score_beam`).
-        let per_beam: Vec<Vec<(usize, u16, f32)>> = pool.map(&beams, |bi, beam| {
-            score_beam(trie, vocab, &beam.logits, &beam.prefix, beam.logprob, beam_size)
-                .into_iter()
-                .map(|(code, logprob)| (bi, code, logprob))
-                .collect()
-        });
-        // (beam, code, logprob), flattened in beam order exactly as the
-        // serial double loop would produce them.
-        let mut candidates: Vec<(usize, u16, f32)> =
-            per_beam.into_iter().flatten().collect();
-        score_watch.stop("beam.score_s");
-        if candidates.is_empty() {
-            return Vec::new();
-        }
-        if obs_on {
-            lcrec_obs::counter_add("beam.expansions", candidates.len() as u64);
-            lcrec_obs::hist_record("beam.candidates_per_level", candidates.len() as f64);
-        }
-        prune(&mut candidates, beam_size);
-        if obs_on {
-            lcrec_obs::counter_add("beam.cache_advances", candidates.len() as u64);
-        }
-        let advance_watch = lcrec_obs::stopwatch();
-        // Phase 2 — one fused, allocation-free transformer step over every
-        // pruned candidate, each on a clone of its source cache.
-        let mut new_caches: Vec<KvCache> = candidates
-            .iter()
-            .map(|&(bi, _, _)| beams[bi].cache.clone()) // lint: allow(panic, reason = "bi was produced by enumerating this very `beams` vector in phase 1")
-            .collect();
-        let toks: Vec<u32> = candidates
-            .iter()
-            .map(|&(bi, code, _)| vocab.index_token(beams[bi].prefix.len(), code)) // lint: allow(panic, reason = "bi was produced by enumerating this very `beams` vector in phase 1")
-            .collect();
-        let mut slots: Vec<&mut KvCache> = new_caches.iter_mut().collect();
-        let all_logits = lm.advance_batch_fused(&mut scratch, &mut slots, &toks);
-        beams = candidates
-            .iter()
-            .zip(new_caches)
-            .zip(all_logits.chunks_exact(vocab_n.max(1)))
-            .map(|((&(bi, code, logprob), cache), row)| {
-                let mut prefix = beams[bi].prefix.clone(); // lint: allow(panic, reason = "bi was produced by enumerating this very `beams` vector in phase 1")
-                prefix.push(code);
-                Beam { cache, logits: row.to_vec(), prefix, logprob }
-            })
-            .collect();
-        advance_watch.stop("beam.advance_s");
-    }
-    finalize(trie, beams.into_iter().map(|b| (b.prefix, b.logprob)).collect())
+        .unwrap_or_default()
 }
 
 /// The graph-backed baseline decode: the same constrained search, driven
@@ -326,18 +283,9 @@ pub fn multi_constrained_beam_search(
 /// Multi-request trie-constrained beam search: decodes `prompts[i]` at
 /// width `beam_sizes[i]`, all at once, and returns one ranked hypothesis
 /// list per prompt (in prompt order). A zero width yields an empty list
-/// for that prompt without disturbing the others.
-///
-/// The requests share the model's weight passes — prefill runs all prompts
-/// in position lockstep through [`CausalLm::prefill_batch_fused`], and
-/// each decode level runs *every* request's surviving candidates through a
-/// single [`CausalLm::advance_batch_fused`] call — but never share any
-/// state:
-/// each request has its own KV caches, its own candidate list and its own
-/// pruning cut. Scoring/pruning reuse the single-request helpers and the
-/// batched transformer step is bit-identical per row, so the output equals
-/// calling [`constrained_beam_search_with`] once per prompt, bit for bit,
-/// at any batch composition and any thread count.
+/// for that prompt without disturbing the others. See
+/// [`multi_constrained_beam_search_scratch`], which this calls with a
+/// scratch of its own.
 pub fn multi_constrained_beam_search_with(
     pool: &Pool,
     lm: &CausalLm,
@@ -350,20 +298,32 @@ pub fn multi_constrained_beam_search_with(
     multi_constrained_beam_search_scratch(pool, lm, vocab, trie, prompts, beam_sizes, &mut scratch)
 }
 
-/// [`multi_constrained_beam_search_with`] against a caller-owned
-/// [`DecodeScratch`], so a long-lived caller (the serving engine) reuses
-/// one set of decode buffers — and one cached LM-head transpose — across
-/// every batch instead of re-allocating per dispatch. The scratch must
-/// have been created from `lm` by [`CausalLm::new_scratch`] after its
-/// last parameter update. Results are bit-identical whichever scratch is
-/// passed; the scratch holds no decode state between calls.
+/// The search loop every entry point runs (module docs describe a level),
+/// against a caller-owned [`DecodeScratch`], so a long-lived caller (the
+/// serving engine) reuses one set of decode buffers — and one cached
+/// LM-head transpose — across every batch instead of re-allocating per
+/// dispatch. The scratch must have been created from `lm` by
+/// [`CausalLm::new_scratch`] after its last parameter update. Results are
+/// bit-identical whichever scratch is passed; the scratch holds no decode
+/// state between calls.
+///
+/// `pool` drives both the scoring fan-out and the fused step's lanes: it
+/// is installed on the scratch for the duration of the call
+/// ([`DecodeScratch::set_pool`]) and the scratch's own pool is put back
+/// afterwards, so a search given [`Pool::serial`] spawns nothing.
+///
+/// The requests share the model's weight passes — prefill runs all prompts
+/// through [`CausalLm::prefill_batch_fused`], and each decode level but
+/// the last runs *every* request's surviving candidates through a single
+/// [`CausalLm::advance_batch_fused`] call — so `beam.cache_advances` is
+/// `Σ width × (levels − 1)` when every request fills its beam.
 #[allow(clippy::too_many_arguments)]
-pub fn multi_constrained_beam_search_scratch(
+pub fn multi_constrained_beam_search_scratch<P: AsRef<[u32]>>(
     pool: &Pool,
     lm: &CausalLm,
     vocab: &ExtendedVocab,
     trie: &IndexTrie,
-    prompts: &[Vec<u32>],
+    prompts: &[P],
     beam_sizes: &[usize],
     scratch: &mut DecodeScratch,
 ) -> Vec<Vec<Hypothesis>> {
@@ -373,19 +333,22 @@ pub fn multi_constrained_beam_search_scratch(
         return Vec::new();
     }
     let obs_on = lcrec_obs::enabled();
-    let _span = lcrec_obs::span("beam.decode_batch");
+    let _span = lcrec_obs::span("beam.decode");
+    let ambient = scratch.set_pool(*pool);
     let vocab_n = lm.config().vocab;
-    // Batched prefill: every prompt advances through its own cache while
-    // sharing each step's fused weight pass.
+    let levels = trie.levels();
+    // Batched prefill: every prompt advances through its own cache.
     let mut caches: Vec<KvCache> = (0..n).map(|_| lm.new_cache()).collect();
-    let seqs: Vec<&[u32]> = prompts.iter().map(|p| p.as_slice()).collect();
+    let seqs: Vec<&[u32]> = prompts.iter().map(|p| p.as_ref()).collect();
     let first_logits = lm.prefill_batch_fused(scratch, &mut caches, &seqs);
     let mut requests: Vec<Vec<Beam>> = caches
         .into_iter()
         .zip(first_logits)
         .map(|(cache, logits)| vec![Beam { cache, logits, prefix: Vec::new(), logprob: 0.0 }])
         .collect();
-    for _level in 0..trie.levels() {
+    // Each request's complete `(index, logprob)` pairs, filled at the last level.
+    let mut done: Vec<Vec<(Vec<u16>, f32)>> = vec![Vec::new(); n];
+    for level in 0..levels {
         // Phase 1 — score every (request, beam) pair, parallel over the
         // flattened pair list; results reassemble in pair order, which is
         // exactly each request's serial beam order.
@@ -394,9 +357,6 @@ pub fn multi_constrained_beam_search_scratch(
             .enumerate()
             .flat_map(|(ri, beams)| (0..beams.len()).map(move |bi| (ri, bi)))
             .collect();
-        if pairs.is_empty() {
-            break;
-        }
         if obs_on {
             lcrec_obs::counter_add("beam.trie_visits", pairs.len() as u64);
         }
@@ -412,53 +372,53 @@ pub fn multi_constrained_beam_search_scratch(
                 per_req[ri].push((bi, code, logprob)); // lint: allow(panic, reason = "ri < n: pairs enumerate `requests`, which has n entries")
             }
         }
-        // Jobs for the shared transformer step: (request, beam, code, lp),
-        // each request pruned to its own width first.
-        let mut jobs: Vec<(usize, usize, u16, f32)> = Vec::new();
+        // Each request pruned to its own width: the candidates that go on.
+        let mut jobs: Vec<Job<'_>> = Vec::new();
         for (ri, mut cands) in per_req.into_iter().enumerate() {
             if obs_on && !cands.is_empty() {
                 lcrec_obs::counter_add("beam.expansions", cands.len() as u64);
                 lcrec_obs::hist_record("beam.candidates_per_level", cands.len() as f64);
             }
             prune(&mut cands, beam_sizes[ri]); // lint: allow(panic, reason = "ri < n and beam_sizes.len() == n is asserted at entry")
-            jobs.extend(cands.into_iter().map(|(bi, code, logprob)| (ri, bi, code, logprob)));
+            jobs.extend(cands.into_iter().map(|(bi, code, logprob)| {
+                Job { ri, src: &requests[ri][bi], code, logprob } // lint: allow(panic, reason = "(ri, bi) come from this level's `pairs`, which enumerate `requests`")
+            }));
+        }
+        // Last level: the index is complete and nothing reads the logits
+        // after it, so the pruned candidates are the result as they stand.
+        if level + 1 == levels {
+            for job in jobs {
+                done[job.ri].push((job.prefix(), job.logprob)); // lint: allow(panic, reason = "done was sized to n slots and ri < n by construction")
+            }
+            break;
+        }
+        // Every request pruned to nothing (dead prefixes, or all widths
+        // zero): there is nothing left to advance or to finish.
+        if jobs.is_empty() {
+            break;
         }
         if obs_on {
             lcrec_obs::counter_add("beam.cache_advances", jobs.len() as u64);
         }
-        // Every request pruned to nothing (e.g. all widths zero): skip the
-        // batched step this level; the empty beam lists end the loop above.
-        if jobs.is_empty() {
-            requests = (0..n).map(|_| Vec::new()).collect();
-            continue;
-        }
         let advance_watch = lcrec_obs::stopwatch();
         // Phase 2 — one batched transformer step over every surviving
         // candidate of every request, each on a clone of its source cache.
-        let mut new_caches: Vec<KvCache> =
-            jobs.iter().map(|&(ri, bi, _, _)| requests[ri][bi].cache.clone()).collect(); // lint: allow(panic, reason = "jobs carry (ri, bi) coordinates taken from this level's `requests` candidates")
-        let toks: Vec<u32> = jobs
-            .iter()
-            .map(|&(ri, bi, code, _)| vocab.index_token(requests[ri][bi].prefix.len(), code)) // lint: allow(panic, reason = "jobs carry (ri, bi) coordinates taken from this level's `requests` candidates")
-            .collect();
+        let mut new_caches: Vec<KvCache> = jobs.iter().map(|job| job.src.cache.clone()).collect();
+        let toks: Vec<u32> = jobs.iter().map(|job| vocab.index_token(level, job.code)).collect();
         let mut slots: Vec<&mut KvCache> = new_caches.iter_mut().collect();
         let all_logits = lm.advance_batch_fused(scratch, &mut slots, &toks);
         let mut next: Vec<Vec<Beam>> = Vec::with_capacity(n);
         next.resize_with(n, Vec::new);
-        for ((&(ri, bi, code, logprob), cache), row) in
+        for ((job, cache), row) in
             jobs.iter().zip(new_caches).zip(all_logits.chunks_exact(vocab_n.max(1)))
         {
-            let mut prefix = requests[ri][bi].prefix.clone(); // lint: allow(panic, reason = "jobs carry (ri, bi) coordinates taken from this level's `requests` candidates")
-            prefix.push(code);
-            next[ri].push(Beam { cache, logits: row.to_vec(), prefix, logprob }); // lint: allow(panic, reason = "next was sized to n slots and ri < n by construction")
+            next[job.ri].push(Beam { cache, logits: row.to_vec(), prefix: job.prefix(), logprob: job.logprob }); // lint: allow(panic, reason = "next was sized to n slots and ri < n by construction")
         }
         requests = next;
         advance_watch.stop("beam.advance_s");
     }
-    requests
-        .into_iter()
-        .map(|beams| finalize(trie, beams.into_iter().map(|b| (b.prefix, b.logprob)).collect()))
-        .collect()
+    scratch.set_pool(ambient);
+    done.into_iter().map(|beams| finalize(trie, beams)).collect()
 }
 
 #[cfg(test)]

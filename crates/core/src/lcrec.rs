@@ -9,7 +9,6 @@ use lcrec_data::{Dataset, InstructionBuilder, Seg, TaskSet};
 use lcrec_eval::Ranker;
 use lcrec_rqvae::{IndexTrie, ItemIndices};
 use lcrec_tensor::Tensor;
-use lcrec_text::token::BOS;
 use lcrec_text::Vocab;
 
 /// Full LC-Rec configuration.
@@ -136,17 +135,11 @@ impl LcRec {
             .collect()
     }
 
-    /// Renders a prompt to tokens (BOS-prefixed).
+    /// Renders a prompt to tokens (BOS-prefixed): history capped to
+    /// `max_hist_items`, then [`ExtendedVocab::render_prompt`]'s
+    /// context-window truncation.
     pub fn render_prompt(&self, segs: &[Seg]) -> Vec<u32> {
-        let capped = self.cap_segs(segs);
-        let mut tokens = vec![BOS];
-        tokens.extend(self.vocab.render(&capped));
-        if tokens.len() > self.cfg.max_seq - self.vocab.indices().levels - 1 {
-            let keep = self.cfg.max_seq - self.vocab.indices().levels - 1;
-            let excess = tokens.len() - keep;
-            tokens.drain(1..1 + excess);
-        }
-        tokens
+        self.vocab.render_prompt(&self.cap_segs(segs), self.cfg.max_seq)
     }
 
     /// Alignment tuning (Eqn. 7) over the configured task set. Each epoch

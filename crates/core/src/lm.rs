@@ -17,6 +17,7 @@
 //!   slot). Per-row arithmetic is identical, so batched serving
 //!   (`lcrec-serve`) is bit-identical to sequential decoding.
 
+use lcrec_par::Pool;
 use lcrec_tensor::{
     init, matmul_acc, softmax_rows, AdamW, Graph, ParamId, ParamStore, Schedule, Tensor, Var,
 };
@@ -116,6 +117,13 @@ impl KvCache {
     pub fn is_empty(&self) -> bool {
         self.len == 0
     }
+
+    /// The cached `(keys, values)` of one layer, each `[len, dim]`
+    /// flattened — what the bit-identity tests compare between decode
+    /// paths. `None` past the model's last layer.
+    pub fn layer(&self, layer: usize) -> Option<(&[f32], &[f32])> {
+        Some((self.k.get(layer)?.as_slice(), self.v.get(layer)?.as_slice()))
+    }
 }
 
 /// Preallocated working memory for the fused decode fast path
@@ -127,12 +135,25 @@ impl KvCache {
 /// dominates end-to-end cost, so those allocations sit on the hottest loop
 /// of the system. A `DecodeScratch` hoists all of them into buffers that
 /// are reused across decode steps — after the first step at a given batch
-/// size the fused path performs **zero heap allocation** per token.
+/// size the fused path allocates nothing per row (a multi-lane step builds
+/// one small descriptor per lane).
 ///
 /// The scratch also caches the transpose of the tied LM head
 /// (`tok_emb^T`), turning the per-token logit computation from
 /// `vocab` scalar dot products into one dense matmul whose inner loop
 /// runs contiguously over the vocabulary (see `docs/PERFORMANCE.md`).
+///
+/// # Lanes
+///
+/// The scratch carries the [`Pool`] the fused step may spread its rows
+/// over: a step's cache slots are cut into contiguous **lanes**, one per
+/// pool worker, and each lane runs the whole transformer step for its rows
+/// on a buffer set of its own (`docs/PERFORMANCE.md`, "Lanes"). Rows never
+/// interact inside a step, so the logits and caches are bit-identical at
+/// any lane count. [`CausalLm::new_scratch`] takes [`Pool::from_env`]; the
+/// beam-search entry points install the pool they were called with for the
+/// duration of the call ([`DecodeScratch::set_pool`]), so a search given
+/// [`Pool::serial`] spawns nothing.
 ///
 /// # Lifecycle
 ///
@@ -142,12 +163,51 @@ impl KvCache {
 /// so a scratch must not outlive a parameter update (create a fresh one
 /// after further training). The serving engine holds one scratch for its
 /// whole lifetime — it borrows the model immutably, so the parameters
-/// cannot change underneath it — and the beam-search entry points create
-/// one per call.
+/// cannot change underneath it.
 #[derive(Clone, Debug)]
 pub struct DecodeScratch {
     /// `tok_emb` transposed to `[dim, vocab]` for the tied-head matmul.
     head_t: Vec<f32>,
+    /// The model's scalar parameter count: multiply-adds one row costs.
+    row_work: usize,
+    pool: Pool,
+    /// One buffer set per lane, grown to the widest step seen.
+    lanes: Vec<LaneScratch>,
+    /// The packed logit rows [`CausalLm::advance_batch_fused`] returns.
+    logits: Vec<f32>,
+}
+
+impl DecodeScratch {
+    /// Replaces the pool the fused step spreads its lanes over and
+    /// returns the previous one, so a caller can restore it.
+    pub fn set_pool(&mut self, pool: Pool) -> Pool {
+        std::mem::replace(&mut self.pool, pool)
+    }
+
+    /// How many lanes a fused step over `rows` rows (or a prefill of
+    /// `rows` tokens) made of `parts` separable pieces — cache slots, or
+    /// sequences — runs on: one per pool worker, as long as every lane
+    /// carries at least `LANE_MIN_WORK` (rows × the model's parameter
+    /// count). Decided from the step's own size, so a lone small request
+    /// never pays a spawn; `1` means the step runs inline.
+    pub fn lanes_for(&self, parts: usize, rows: usize) -> usize {
+        let by_work = rows.saturating_mul(self.row_work) / LANE_MIN_WORK;
+        self.pool.threads().min(parts).min(by_work).max(1)
+    }
+
+    /// [`DecodeScratch::lanes_for`], with a buffer set ready for each lane.
+    fn lanes_ready(&mut self, parts: usize, rows: usize) -> usize {
+        let lanes = self.lanes_for(parts, rows);
+        if self.lanes.len() < lanes {
+            self.lanes.resize_with(lanes, LaneScratch::default);
+        }
+        lanes
+    }
+}
+
+/// One lane's activation buffers: flat, row-major over the lane's rows.
+#[derive(Clone, Debug, Default)]
+struct LaneScratch {
     xs: Vec<f32>,
     xn: Vec<f32>,
     q: Vec<f32>,
@@ -162,7 +222,58 @@ pub struct DecodeScratch {
     scores: Vec<f32>,
     probs: Vec<f32>,
     xf: Vec<f32>,
+    /// Per-position logits of a prefill lane (decode lanes write straight
+    /// into their slice of [`DecodeScratch::logits`]).
     logits: Vec<f32>,
+}
+
+/// The rows one decode lane owns: disjoint slices of the step's inputs and
+/// of the packed logit buffer.
+struct DecodeLane<'a, 'c> {
+    scratch: &'a mut LaneScratch,
+    caches: &'a mut [&'c mut KvCache],
+    tokens: &'a [u32],
+    logits: &'a mut [f32],
+}
+
+/// The sequences one prefill lane owns, with their output rows.
+struct PrefillLane<'a> {
+    scratch: &'a mut LaneScratch,
+    caches: &'a mut [KvCache],
+    seqs: &'a [&'a [u32]],
+    outs: &'a mut [Vec<f32>],
+}
+
+/// Least work (rows × scalar parameters, i.e. multiply-adds) a lane must
+/// carry to be worth its spawn. Measured on the 2-core benchmark box:
+/// spawning and joining one scoped worker costs 53–66 µs
+/// (`par.map_spawn_us`) and a 0.54 M-parameter row takes 75–100 µs, so
+/// this is ~250 µs of arithmetic per lane — four to five spawns. With the
+/// threshold forced to 1, two lanes against one on that model broke even
+/// at 4 rows (0.98x) and won from 6 (1.20x; 1.31x at 8, 1.73x at 20), so a
+/// lone request's `k = 4` rows (2.2 M) stay inline and six rows and up
+/// split. See [`DecodeScratch::lanes_for`] and docs/PERFORMANCE.md.
+const LANE_MIN_WORK: usize = 1_500_000;
+
+/// Cuts `weights` into `lanes` contiguous runs of near-equal total weight
+/// and returns each run's length: run `i` ends at the first element where
+/// the running total reaches `(i + 1) / lanes` of the whole, and the last
+/// run takes whatever is left. Unit weights give lengths that differ by at
+/// most one.
+fn lane_lens(weights: impl Iterator<Item = usize> + Clone, lanes: usize) -> Vec<usize> {
+    let total: usize = weights.clone().sum();
+    let mut lens = vec![0usize; lanes];
+    let (mut lane, mut seen) = (0usize, 0usize);
+    for w in weights {
+        if let Some(len) = lens.get_mut(lane) {
+            *len += 1;
+        }
+        seen += w;
+        while lane + 1 < lanes && seen * lanes >= (lane + 1) * total {
+            lane += 1;
+        }
+    }
+    lens
 }
 
 /// Grows `buf` to `len` elements, all zero, without shrinking its
@@ -478,46 +589,40 @@ impl CausalLm {
     }
 
     /// Allocates a [`DecodeScratch`] for this model's current parameters,
-    /// caching the tied-head transpose. See the scratch's lifecycle notes:
-    /// create it after training, before decoding.
+    /// caching the tied-head transpose, with [`Pool::from_env`] as its lane
+    /// pool. See the scratch's lifecycle notes: create it after training,
+    /// before decoding.
     pub fn new_scratch(&self) -> DecodeScratch {
         let tok_table = self.ps.value(self.tok_emb);
         DecodeScratch {
             head_t: tok_table.transposed().data().to_vec(),
-            xs: Vec::new(),
-            xn: Vec::new(),
-            q: Vec::new(),
-            k: Vec::new(),
-            v: Vec::new(),
-            ctx: Vec::new(),
-            att: Vec::new(),
-            gate: Vec::new(),
-            up: Vec::new(),
-            hid: Vec::new(),
-            down: Vec::new(),
-            scores: Vec::new(),
-            probs: Vec::new(),
-            xf: Vec::new(),
+            row_work: self.num_params(),
+            pool: Pool::from_env(),
+            lanes: Vec::new(),
             logits: Vec::new(),
         }
     }
 
     /// The fused fast-path variant of [`CausalLm::advance_batch`]: one
-    /// token into each of `b` cache slots through a single weight pass,
-    /// with every intermediate living in `scratch` (no heap allocation
-    /// after warm-up) and the matmuls routed through the process-wide
-    /// [`lcrec_tensor::InferenceBackend`].
+    /// token into each of `b` cache slots, with every intermediate living
+    /// in `scratch` (no per-row heap allocation after warm-up) and the
+    /// matmuls routed through the process-wide
+    /// [`lcrec_tensor::InferenceBackend`]. The slots are cut into
+    /// contiguous lanes over the scratch's pool (see [`DecodeScratch`]);
+    /// each lane runs the whole step for its rows — one weight pass per
+    /// lane — and writes its own slice of the packed logits.
     ///
     /// Returns the `b * vocab` logit rows packed in slot order, borrowed
     /// from the scratch (they are overwritten by the next call).
     ///
-    /// **Bit-identity contract:** for any cache states, batch size and
-    /// backend, the returned logits and the updated caches are
-    /// bit-identical to [`CausalLm::advance_batch`] — the fused path keeps
-    /// the reference path's per-element accumulation order everywhere
-    /// (`tests/decode.rs` pins this, and transitively the graph-path
-    /// equivalence). The reference implementation stays as the semantics
-    /// anchor and the training path is untouched.
+    /// **Bit-identity contract:** for any cache states, batch size, lane
+    /// count and backend, the returned logits and the updated caches are
+    /// bit-identical to [`CausalLm::advance_batch`] — a row's arithmetic
+    /// never reads another row, and the fused path keeps the reference
+    /// path's per-element accumulation order everywhere (`tests/decode.rs`
+    /// pins this, and transitively the graph-path equivalence). The
+    /// reference implementation stays as the semantics anchor and the
+    /// training path is untouched.
     pub fn advance_batch_fused<'s>(
         &self,
         scratch: &'s mut DecodeScratch,
@@ -526,11 +631,55 @@ impl CausalLm {
     ) -> &'s [f32] {
         assert_eq!(caches.len(), tokens.len(), "one token per cache slot");
         let b = caches.len();
-        ensure_zeroed(&mut scratch.logits, b * self.cfg.vocab);
+        let vocab = self.cfg.vocab;
+        ensure_zeroed(&mut scratch.logits, b * vocab);
         if b == 0 {
             return &scratch.logits;
         }
+        // Recorded once, on the calling thread: lanes record nothing, so
+        // the counters cannot depend on the thread count.
         let obs_watch = lcrec_obs::stopwatch();
+        let lanes = scratch.lanes_ready(b, b);
+        let DecodeScratch { head_t, pool, lanes: lane_bufs, logits, .. } = scratch;
+        debug_assert_eq!(head_t.len(), self.cfg.dim * vocab, "stale scratch: head transpose does not match the model (create the scratch after training)");
+        let mut parts: Vec<DecodeLane<'_, '_>> = Vec::with_capacity(lanes);
+        let (mut cache_rest, mut token_rest, mut logit_rest) = (caches, tokens, logits.as_mut_slice());
+        for (lane, len) in lane_bufs.iter_mut().zip(lane_lens(tokens.iter().map(|_| 1), lanes)) {
+            let (lane_caches, rest) = cache_rest.split_at_mut(len);
+            cache_rest = rest;
+            let (lane_tokens, rest) = token_rest.split_at(len);
+            token_rest = rest;
+            let (lane_logits, rest) = logit_rest.split_at_mut(len * vocab);
+            logit_rest = rest;
+            parts.push(DecodeLane { scratch: lane, caches: lane_caches, tokens: lane_tokens, logits: lane_logits });
+        }
+        pool.for_each_mut(&mut parts, |_, p| {
+            self.step_rows(head_t, p.scratch, p.caches, p.tokens, p.logits);
+        });
+        if obs_watch.running() {
+            lcrec_obs::counter_add("lm.decode_tokens", b as u64);
+            obs_watch.stop("lm.decode_s");
+        }
+        &scratch.logits
+    }
+
+    /// One token into each of `caches` through the whole transformer —
+    /// every layer, attention over each row's own cache, final norm and
+    /// tied head — accumulating the rows' logits into `logits` (zeroed by
+    /// the caller, `caches.len() * vocab` long). This is a lane's work:
+    /// it touches nothing but its arguments and records no observability.
+    fn step_rows(
+        &self,
+        head_t: &[f32],
+        scratch: &mut LaneScratch,
+        caches: &mut [&mut KvCache],
+        tokens: &[u32],
+        logits: &mut [f32],
+    ) {
+        let b = caches.len();
+        if b == 0 {
+            return;
+        }
         let backend = lcrec_tensor::active_backend();
         let d = self.cfg.dim;
         let h = self.cfg.heads;
@@ -621,25 +770,18 @@ impl CausalLm {
         // so the inner loop streams contiguously over the vocabulary. The
         // dense kernel keeps every `+ 0.0 * w` term, matching the scalar
         // dot loop of the reference path bit for bit.
-        debug_assert_eq!(scratch.head_t.len(), d * self.cfg.vocab, "stale scratch: head transpose does not match the model (create the scratch after training)");
-        backend.gemm_dense_acc(&scratch.xf, &scratch.head_t, &mut scratch.logits, b, d, self.cfg.vocab);
-        if obs_watch.running() {
-            if IN_PREFILL.with(|c| c.get()) {
-                lcrec_obs::counter_add("lm.prefill_tokens", b as u64);
-                obs_watch.stop("lm.prefill_s");
-            } else {
-                lcrec_obs::counter_add("lm.decode_tokens", b as u64);
-                obs_watch.stop("lm.decode_s");
-            }
-        }
-        &scratch.logits
+        backend.gemm_dense_acc(&scratch.xf, head_t, logits, b, d, self.cfg.vocab);
     }
 
-    /// The fused fast-path variant of [`CausalLm::prefill_batch`]: the
-    /// same position-lockstep schedule, with every transformer step going
-    /// through [`CausalLm::advance_batch_fused`]. Returns the logits after
+    /// The fused fast-path variant of [`CausalLm::prefill_batch`]. The
+    /// sequences are cut into contiguous lanes of near-equal token count
+    /// over the scratch's pool; each lane prefills **its own** sequences
+    /// through all their positions in the same position-lockstep schedule
+    /// (one spawn per prefill, not one per position), every transformer
+    /// step going through the fused row kernel. Returns the logits after
     /// each sequence's last token, in slot order (empty rows for empty
-    /// sequences), bit-identical to the reference prefill.
+    /// sequences), bit-identical to the reference prefill at any lane
+    /// count: a sequence's arithmetic never depends on its batch-mates.
     pub fn prefill_batch_fused(
         &self,
         scratch: &mut DecodeScratch,
@@ -647,32 +789,63 @@ impl CausalLm {
         seqs: &[&[u32]],
     ) -> Vec<Vec<f32>> {
         assert_eq!(caches.len(), seqs.len(), "one cache per sequence");
-        let was = IN_PREFILL.with(|c| c.replace(true));
-        let longest = seqs.iter().map(|s| s.len()).max().unwrap_or(0);
-        let vocab = self.cfg.vocab;
         let mut outs = vec![Vec::new(); seqs.len()];
+        let tokens: usize = seqs.iter().map(|s| s.len()).sum();
+        if tokens == 0 {
+            return outs;
+        }
+        let obs_watch = lcrec_obs::stopwatch();
+        let lanes = scratch.lanes_ready(seqs.len(), tokens);
+        let DecodeScratch { head_t, pool, lanes: lane_bufs, .. } = scratch;
+        let mut parts: Vec<PrefillLane<'_>> = Vec::with_capacity(lanes);
+        let (mut cache_rest, mut seq_rest, mut out_rest) = (caches, seqs, outs.as_mut_slice());
+        for (lane, len) in lane_bufs.iter_mut().zip(lane_lens(seqs.iter().map(|s| s.len()), lanes)) {
+            let (lane_caches, rest) = cache_rest.split_at_mut(len);
+            cache_rest = rest;
+            let (lane_seqs, rest) = seq_rest.split_at(len);
+            seq_rest = rest;
+            let (lane_outs, rest) = out_rest.split_at_mut(len);
+            out_rest = rest;
+            parts.push(PrefillLane { scratch: lane, caches: lane_caches, seqs: lane_seqs, outs: lane_outs });
+        }
+        pool.for_each_mut(&mut parts, |_, p| self.prefill_lane(head_t, p));
+        if obs_watch.running() {
+            lcrec_obs::counter_add("lm.prefill_tokens", tokens as u64);
+            obs_watch.stop("lm.prefill_s");
+        }
+        outs
+    }
+
+    /// Prefills one lane's sequences in position lockstep: step `t` feeds
+    /// token `t` of every sequence that still has one, and a sequence's
+    /// logits are kept from the step that fed its last token.
+    fn prefill_lane(&self, head_t: &[f32], lane: &mut PrefillLane<'_>) {
+        let vocab = self.cfg.vocab;
+        let longest = lane.seqs.iter().map(|s| s.len()).max().unwrap_or(0);
+        let mut logits = std::mem::take(&mut lane.scratch.logits);
         for t in 0..longest {
             let mut slots: Vec<&mut KvCache> = Vec::new();
             let mut toks: Vec<u32> = Vec::new();
-            let mut live: Vec<(usize, bool)> = Vec::new();
-            for (i, (cache, seq)) in caches.iter_mut().zip(seqs).enumerate() {
+            // Output rows of the sequences for which `t` is the last token.
+            let mut ending: Vec<Option<&mut Vec<f32>>> = Vec::new();
+            for ((cache, seq), out) in
+                lane.caches.iter_mut().zip(lane.seqs).zip(lane.outs.iter_mut())
+            {
                 if let Some(&tok) = seq.get(t) {
                     slots.push(cache);
                     toks.push(tok);
-                    live.push((i, t + 1 == seq.len()));
+                    ending.push((t + 1 == seq.len()).then_some(out));
                 }
             }
-            let logits = self.advance_batch_fused(scratch, &mut slots, &toks);
-            for (row, &(i, last)) in logits.chunks_exact(vocab.max(1)).zip(&live) {
-                if last {
-                    if let Some(out) = outs.get_mut(i) {
-                        *out = row.to_vec();
-                    }
+            ensure_zeroed(&mut logits, slots.len() * vocab);
+            self.step_rows(head_t, lane.scratch, &mut slots, &toks, &mut logits);
+            for (row, out) in logits.chunks_exact(vocab.max(1)).zip(ending) {
+                if let Some(out) = out {
+                    *out = row.to_vec();
                 }
             }
         }
-        IN_PREFILL.with(|c| c.set(was));
-        outs
+        lane.scratch.logits = logits;
     }
 
     /// Log-probability of `continuation` given `prefix` (sums per-token

@@ -13,13 +13,14 @@
 //! pushed (`tests/evolution.rs` pins this).
 //!
 //! A [`TrieSnapshot`] is a borrowed view of one epoch; its
-//! [`materialize`](TrieSnapshot::materialize) rebuilds the canonical CSR
-//! [`IndexTrie`] for that epoch — node-for-node identical to a full
-//! rebuild from the union catalog — which is what the serving engines
-//! borrow (the `Router::swap_catalog` path, see `docs/CATALOG.md`).
+//! [`materialize`](TrieSnapshot::materialize) walks the epoch's arena
+//! nodes breadth-first into the canonical CSR [`IndexTrie`] for that epoch
+//! — node-for-node identical to a full rebuild from the union catalog —
+//! which is what the serving engines borrow (the `Router::swap_catalog`
+//! path, see `docs/CATALOG.md`).
 
-use lcrec_rqvae::{IndexError, IndexTrie, ItemIndices};
-use std::collections::BTreeSet;
+use lcrec_rqvae::{IndexError, IndexTrie, IndexTrieBuilder, ItemIndices};
+use std::collections::{BTreeSet, VecDeque};
 
 /// One immutable trie node: parallel ascending edge codes and child ids,
 /// plus the bound item on full-depth leaves.
@@ -356,9 +357,25 @@ impl<'a> TrieSnapshot<'a> {
     /// identical to a full rebuild from the epoch's item set, which is the
     /// differential contract `tests/evolution.rs` pins. The serving
     /// engines borrow the materialized trie.
+    ///
+    /// One breadth-first walk of the epoch's reachable arena nodes, pushed
+    /// straight into an [`IndexTrieBuilder`]: edges are already stored
+    /// ascending, and the walk's FIFO order is the CSR numbering, so no
+    /// path is ever rebuilt, sorted or parsed.
     pub fn materialize(&self) -> IndexTrie {
-        IndexTrie::from_text(&self.to_text())
-            .expect("TrieSnapshot::to_text emits IndexTrie::from_text's grammar by construction") // lint: allow(panic, reason = "the serializer and parser are a round-trip pair over the same canonical grammar")
+        let levels = self.trie.levels;
+        let mut builder = IndexTrieBuilder::new(levels);
+        let mut queue: VecDeque<(u32, usize)> = VecDeque::from([(self.root, 0)]);
+        while let Some((id, depth)) = queue.pop_front() {
+            match self.trie.node(id) {
+                Some(node) if depth < levels => {
+                    builder.push_node(&node.codes, None);
+                    queue.extend(node.children.iter().map(|&child| (child, depth + 1)));
+                }
+                node => builder.push_node(&[], node.and_then(|n| n.item)),
+            }
+        }
+        builder.finish()
     }
 }
 

@@ -99,6 +99,25 @@ impl ExtendedVocab {
         out
     }
 
+    /// Renders an inference prompt: `BOS` + [`ExtendedVocab::render`],
+    /// front-truncated (dropping the oldest tokens after `BOS`) so that
+    /// prompt + one full item index + one spare position fit a context
+    /// window of `max_seq` tokens. The budget saturates and always keeps
+    /// `BOS`: a window smaller than one item index degrades to a
+    /// maximally-truncated prompt instead of underflowing. The one
+    /// rendering rule shared by `LcRec::render_prompt` and the serving
+    /// engine, so the two cannot drift apart.
+    pub fn render_prompt(&self, segs: &[Seg], max_seq: usize) -> Vec<u32> {
+        let mut tokens = vec![BOS];
+        tokens.extend(self.render(segs));
+        let budget = max_seq.saturating_sub(self.indices.levels + 1).max(1);
+        if tokens.len() > budget {
+            let excess = tokens.len() - budget;
+            tokens.drain(1..1 + excess);
+        }
+        tokens
+    }
+
     /// Full example rendering: `BOS prompt … response EOS`, returning
     /// `(tokens, prompt_len)` where the first `prompt_len` positions are
     /// conditioning-only (no loss), per Eqn. (7).
@@ -193,6 +212,23 @@ mod tests {
         // BOS + 4 words + 2 items × 2 tokens = 9 prompt positions.
         assert_eq!(plen, 9);
         assert_eq!(tokens.len(), plen + 2 + 1);
+    }
+
+    #[test]
+    fn render_prompt_keeps_bos_and_the_newest_tokens_within_the_budget() {
+        let v = sample();
+        let segs = [Seg::Text("recommend the next item".into()), Seg::Items(vec![0, 2, 1])];
+        let full = v.render_prompt(&segs, 64);
+        assert_eq!(full.len(), 1 + 4 + 6, "nothing to truncate in a wide window");
+        // Budget = max_seq - levels - 1 = 5: BOS + the 4 newest tokens.
+        let cut = v.render_prompt(&segs, 8);
+        assert_eq!(cut.len(), 5);
+        assert_eq!(cut[0], BOS);
+        assert_eq!(cut[1..], full[full.len() - 4..]);
+        // A window smaller than one item index saturates to BOS alone.
+        for max_seq in 0..=3 {
+            assert_eq!(v.render_prompt(&segs, max_seq), vec![BOS], "max_seq {max_seq}");
+        }
     }
 
     #[test]

@@ -22,6 +22,10 @@
 //! channels): each [`Pool::map`] call spawns workers for its own lifetime,
 //! which keeps borrow scopes simple — closures may freely borrow the
 //! caller's data — and leaves nothing running between calls.
+//!
+//! [`Pool::for_each_mut`] is the one primitive for work that mutates its
+//! input in place (the fused LM step's lanes): a static contiguous
+//! partition of disjoint `&mut` parts, no queue, no recompute seam.
 
 #![warn(missing_docs)]
 
@@ -274,6 +278,76 @@ impl Pool {
         }
         acc
     }
+
+    /// Runs `f(index, &mut part)` once for every element of `parts`, each
+    /// worker owning a **disjoint contiguous run** of the slice — the
+    /// primitive behind the fused LM step's lanes (DESIGN.md "Threading
+    /// model"). The partition is static: `parts` is cut into
+    /// `min(threads, parts.len())` runs whose lengths differ by at most
+    /// one, run 0 executes on the calling thread and every other run on a
+    /// scoped worker, and each run visits its parts in ascending index
+    /// order. At one thread or one part nothing is spawned.
+    ///
+    /// Unlike [`Pool::map_range`] there is no work queue and **no
+    /// `par.worker` recompute seam**: parts are mutated in place, so a
+    /// part's work cannot be thrown away and run again. Nothing is
+    /// recorded to `lcrec-obs` either — callers account for the work once,
+    /// on the calling thread, so their counters cannot depend on the
+    /// thread count. A panic inside `f` is re-raised on the calling thread
+    /// with its original payload after every worker has been joined.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use lcrec_par::Pool;
+    ///
+    /// let mut rows = vec![vec![1.0f32; 4]; 6];
+    /// Pool::new(4).for_each_mut(&mut rows, |i, row| row.iter_mut().for_each(|v| *v *= i as f32));
+    /// assert_eq!(rows[5], vec![5.0; 4]);
+    /// ```
+    pub fn for_each_mut<T, F>(&self, parts: &mut [T], f: F)
+    where
+        T: Send,
+        F: Fn(usize, &mut T) + Sync,
+    {
+        let workers = self.threads.min(parts.len());
+        let run = |base: usize, mine: &mut [T]| {
+            for (i, part) in mine.iter_mut().enumerate() {
+                f(base + i, part);
+            }
+        };
+        if workers <= 1 {
+            run(0, parts);
+            return;
+        }
+        // The first `parts.len() % workers` runs take one extra part.
+        let (per, extra) = (parts.len() / workers, parts.len() % workers);
+        let (first, mut rest) = parts.split_at_mut(per + usize::from(extra > 0));
+        let mut base = first.len();
+        std::thread::scope(|s| {
+            let run = &run;
+            let mut handles = Vec::with_capacity(workers - 1);
+            for w in 1..workers {
+                let (mine, tail) = rest.split_at_mut(per + usize::from(w < extra));
+                rest = tail;
+                let start = base;
+                base += mine.len();
+                handles.push(s.spawn(move || run(start, mine)));
+            }
+            run(0, first);
+            // Join every worker before re-raising, so no part is still
+            // being written when the caller sees the panic.
+            let mut panicked = None;
+            for h in handles {
+                if let Err(payload) = h.join() {
+                    panicked.get_or_insert(payload);
+                }
+            }
+            if let Some(payload) = panicked {
+                std::panic::resume_unwind(payload);
+            }
+        });
+    }
 }
 
 impl Default for Pool {
@@ -375,6 +449,77 @@ mod tests {
         assert_eq!(micro_ranges(64, 32), vec![(0, 32), (32, 64)]);
         assert_eq!(micro_ranges(70, 32), vec![(0, 32), (32, 64), (64, 70)]);
         assert_eq!(micro_ranges(3, 0), vec![(0, 1), (1, 2), (2, 3)], "rows clamps to 1");
+    }
+
+    #[test]
+    fn for_each_mut_visits_every_part_once_with_its_own_index() {
+        for threads in [1, 2, 3, 4, 9] {
+            for n in [0usize, 1, 2, 5, 8, 33] {
+                let mut parts: Vec<(usize, u32)> = vec![(usize::MAX, 0); n];
+                Pool::new(threads).for_each_mut(&mut parts, |i, part| {
+                    part.0 = i;
+                    part.1 += 1;
+                });
+                let expect: Vec<(usize, u32)> = (0..n).map(|i| (i, 1)).collect();
+                assert_eq!(parts, expect, "threads={threads} n={n}");
+            }
+        }
+    }
+
+    #[test]
+    fn for_each_mut_partition_is_static_contiguous_and_ascending() {
+        // Each worker appends the indices it visits to a log of its own
+        // (keyed by thread), so the partition itself is observable.
+        let logs: Mutex<Vec<(std::thread::ThreadId, usize)>> = Mutex::new(Vec::new());
+        let mut parts = vec![0u8; 7];
+        Pool::new(3).for_each_mut(&mut parts, |i, _| {
+            logs.lock().expect("no panics under this lock").push((std::thread::current().id(), i));
+        });
+        let logs = logs.into_inner().expect("no panics under this lock");
+        let mut runs: Vec<Vec<usize>> = Vec::new();
+        let mut owners: Vec<std::thread::ThreadId> = Vec::new();
+        for (id, i) in logs {
+            match owners.iter().position(|o| *o == id) {
+                Some(w) => runs[w].push(i),
+                None => {
+                    owners.push(id);
+                    runs.push(vec![i]);
+                }
+            }
+        }
+        runs.sort();
+        assert_eq!(runs, vec![vec![0, 1, 2], vec![3, 4], vec![5, 6]]);
+        let caller = owners.iter().position(|o| *o == std::thread::current().id());
+        assert!(caller.is_some(), "run 0 executes on the calling thread");
+    }
+
+    #[test]
+    fn for_each_mut_runs_inline_at_one_thread_or_one_part() {
+        let me = std::thread::current().id();
+        let mut parts = vec![0u8; 5];
+        Pool::serial().for_each_mut(&mut parts, |_, _| assert_eq!(std::thread::current().id(), me));
+        let mut one = vec![0u8; 1];
+        Pool::new(8).for_each_mut(&mut one, |_, _| assert_eq!(std::thread::current().id(), me));
+    }
+
+    #[test]
+    fn for_each_mut_propagates_a_worker_panic_after_joining() {
+        let finished = AtomicUsize::new(0);
+        let mut parts = vec![0u32; 4];
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            Pool::new(4).for_each_mut(&mut parts, |i, part| {
+                if i == 2 {
+                    panic!("lane {i} failed");
+                }
+                *part = 7;
+                finished.fetch_add(1, Ordering::SeqCst);
+            });
+        }));
+        let payload = caught.expect_err("the worker's panic must reach the caller");
+        let msg = payload.downcast_ref::<String>().map(String::as_str).unwrap_or_default();
+        assert_eq!(msg, "lane 2 failed", "original payload, not scope's generic message");
+        assert_eq!(finished.load(Ordering::SeqCst), 3, "every other part still ran to the end");
+        assert_eq!(parts, vec![7, 7, 0, 7]);
     }
 
     #[test]

@@ -274,30 +274,27 @@ impl IndexTrie {
 
     /// CSR construction from full code paths: stable-sort by code path
     /// (ties keep insertion order, so the first-bound item wins), dedup,
-    /// then carve the sorted list into nodes breadth-first. Each node's
-    /// edges come out contiguous and code-ascending by construction.
+    /// then carve the sorted list into nodes breadth-first through an
+    /// [`IndexTrieBuilder`]. Each node's edges come out contiguous and
+    /// code-ascending by construction.
     fn from_paths(levels: usize, mut paths: Vec<(Vec<u16>, u32)>) -> Self {
         paths.sort_by(|a, b| a.0.cmp(&b.0));
         paths.dedup_by(|cur, prev| cur.0 == prev.0);
-        let mut child_start = vec![0u32];
-        let mut edge_codes: Vec<u16> = Vec::new();
-        let mut edge_child: Vec<u32> = Vec::new();
-        let mut items: Vec<Option<u32>> = Vec::new();
+        let mut builder = IndexTrieBuilder::new(levels);
         // BFS queue of (depth, lo, hi): paths[lo..hi] share their first
         // `depth` codes and define the subtrie under one node. Nodes are
-        // popped — and therefore numbered — in exactly the order their
-        // edges were appended, which keeps ids and spans aligned.
+        // popped in exactly the order their edges were pushed, which is
+        // the order the builder numbers them in.
         let mut queue: std::collections::VecDeque<(usize, usize, usize)> =
             std::collections::VecDeque::new();
         queue.push_back((0, 0, paths.len()));
-        let mut next_id = 1u32;
+        let mut codes: Vec<u16> = Vec::new();
         while let Some((depth, lo, hi)) = queue.pop_front() {
             if depth == levels {
-                items.push(paths.get(lo).filter(|_| lo < hi).map(|p| p.1));
-                child_start.push(edge_codes.len() as u32);
+                builder.push_node(&[], paths.get(lo).filter(|_| lo < hi).map(|p| p.1));
                 continue;
             }
-            items.push(None);
+            codes.clear();
             let mut i = lo;
             while i < hi {
                 let code = paths[i].0[depth]; // lint: allow(panic, reason = "i < hi <= paths.len() and every path has exactly `levels` codes with depth < levels")
@@ -305,15 +302,13 @@ impl IndexTrie {
                 while j < hi && paths[j].0[depth] == code { // lint: allow(panic, reason = "j < hi <= paths.len() and every path has exactly `levels` codes with depth < levels")
                     j += 1;
                 }
-                edge_codes.push(code);
-                edge_child.push(next_id);
-                next_id += 1;
+                codes.push(code);
                 queue.push_back((depth + 1, i, j));
                 i = j;
             }
-            child_start.push(edge_codes.len() as u32);
+            builder.push_node(&codes, None);
         }
-        IndexTrie { levels, child_start, edge_codes, edge_child, items }
+        builder.finish()
     }
 
     /// Number of index levels.
@@ -429,6 +424,78 @@ impl IndexTrie {
             paths.push((codes, item.parse().ok()?));
         }
         Some(IndexTrie::from_paths(levels, paths))
+    }
+}
+
+/// Breadth-first builder of an [`IndexTrie`]'s CSR arrays: the one place
+/// the arena layout is written, shared by the from-paths build and by
+/// `TrieSnapshot::materialize` in `lcrec-core`, which walks its
+/// copy-on-write arena straight into it.
+///
+/// Nodes are pushed in **breadth-first order starting at the root**, each
+/// with its edge codes ascending; a node's children are numbered in the
+/// order its edges are given and must later be pushed in that same order,
+/// after every node pushed before them has had its own children pushed —
+/// i.e. the caller drives a plain FIFO queue. Nodes at depth `levels` are
+/// leaves (no edges) and carry the bound item. Two tries pushed from the
+/// same contents in this order are equal field for field.
+///
+/// # Examples
+///
+/// ```
+/// use lcrec_rqvae::{IndexTrie, IndexTrieBuilder, ItemIndices};
+///
+/// let mut b = IndexTrieBuilder::new(2);
+/// b.push_node(&[0, 2], None); // root
+/// b.push_node(&[3], None); // child along code 0
+/// b.push_node(&[1], None); // child along code 2
+/// b.push_node(&[], Some(0)); // leaf [0, 3]
+/// b.push_node(&[], Some(1)); // leaf [2, 1]
+/// let indices = ItemIndices::new(vec![4, 4], vec![vec![0, 3], vec![2, 1]]);
+/// assert_eq!(b.finish(), IndexTrie::build(&indices));
+/// ```
+#[derive(Clone, Debug)]
+pub struct IndexTrieBuilder {
+    trie: IndexTrie,
+}
+
+impl IndexTrieBuilder {
+    /// An empty builder for `levels`-deep paths.
+    pub fn new(levels: usize) -> Self {
+        IndexTrieBuilder {
+            trie: IndexTrie {
+                levels,
+                child_start: vec![0],
+                edge_codes: Vec::new(),
+                edge_child: Vec::new(),
+                items: Vec::new(),
+            },
+        }
+    }
+
+    /// Appends the next node in breadth-first order with its ascending
+    /// edge `codes` (empty for a leaf) and bound `item`.
+    pub fn push_node(&mut self, codes: &[u16], item: Option<u32>) {
+        debug_assert!(codes.windows(2).all(|w| w.first() < w.last()), "edge codes must be strictly ascending");
+        let t = &mut self.trie;
+        // Node 0 is the root; every edge pushed so far named one child.
+        let first_child = t.edge_child.len() as u32 + 1;
+        t.items.push(item);
+        t.edge_codes.extend_from_slice(codes);
+        t.edge_child.extend((0..codes.len() as u32).map(|k| first_child + k));
+        t.child_start.push(t.edge_codes.len() as u32);
+    }
+
+    /// The finished trie, its arrays trimmed to their length: a published
+    /// trie lives as long as the router that serves it, so the slack the
+    /// pushes' doubling left behind would be held for as long.
+    pub fn finish(mut self) -> IndexTrie {
+        let t = &mut self.trie;
+        t.child_start.shrink_to_fit();
+        t.edge_codes.shrink_to_fit();
+        t.edge_child.shrink_to_fit();
+        t.items.shrink_to_fit();
+        self.trie
     }
 }
 

@@ -18,6 +18,6 @@ pub mod sinkhorn;
 
 pub use catalog::{Admission, CatalogUpdater};
 pub use indexers::{build_indices, IndexerKind};
-pub use indices::{IndexError, IndexTrie, ItemIndices, PointerTrie};
+pub use indices::{IndexError, IndexTrie, IndexTrieBuilder, ItemIndices, PointerTrie};
 pub use model::{RqVae, RqVaeConfig, TrainCursor, TrainReport};
 pub use sinkhorn::{sinkhorn_plan, uniform_assign, SinkhornConfig};

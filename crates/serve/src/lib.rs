@@ -47,7 +47,6 @@ use lcrec_data::Seg;
 use lcrec_fault::{deadline_expired, seams, Backoff, FaultPlan};
 use lcrec_par::Pool;
 use lcrec_rqvae::IndexTrie;
-use lcrec_text::token::BOS;
 use std::collections::VecDeque;
 use std::fmt;
 use std::time::Instant;
@@ -496,11 +495,12 @@ impl<'a> Engine<'a> {
     }
 
     /// Renders one request's prompt exactly as `LcRec::render_prompt`
-    /// does: history capped to [`ServeConfig::max_hist_items`], BOS +
-    /// template text + item-index tokens, then front-truncated (dropping
-    /// the oldest tokens after BOS) so prompt + one full index fits the
-    /// LM's context window. Public so bit-identity tests can compare the
-    /// engine against direct beam-search calls on the same tokens.
+    /// does: history capped to [`ServeConfig::max_hist_items`], then
+    /// [`ExtendedVocab::render_prompt`] — BOS + template text + item-index
+    /// tokens, front-truncated (dropping the oldest tokens after BOS) so
+    /// prompt + one full index fits the LM's context window. Public so
+    /// bit-identity tests can compare the engine against direct
+    /// beam-search calls on the same tokens.
     pub fn render_prompt(&self, history: &[u32]) -> Vec<u32> {
         let capped = if history.len() > self.cfg.max_hist_items {
             &history[history.len() - self.cfg.max_hist_items..] // lint: allow(panic, reason = "the branch guard makes the start offset at most history.len()")
@@ -509,18 +509,7 @@ impl<'a> Engine<'a> {
         };
         let segs =
             [Seg::Text(self.cfg.template.clone()), Seg::Items(capped.to_vec())];
-        let mut tokens = vec![BOS];
-        tokens.extend(self.vocab.render(&segs));
-        let max_seq = self.lm.config().max_seq;
-        // Saturate (and keep BOS) so a context window smaller than one item
-        // index degrades to a maximally-truncated prompt instead of
-        // underflowing.
-        let budget = max_seq.saturating_sub(self.vocab.indices().levels + 1).max(1);
-        if tokens.len() > budget {
-            let excess = tokens.len() - budget;
-            tokens.drain(1..1 + excess);
-        }
-        tokens
+        self.vocab.render_prompt(&segs, self.lm.config().max_seq)
     }
 
     fn dispatch(&mut self, batch: Vec<Pending>) -> Vec<Outcome> {

@@ -293,6 +293,9 @@ pub struct Router<'a> {
     /// Catalog epoch of the trie snapshot new admissions decode against
     /// (see [`Router::swap_catalog`]); 0 until the first catalog swap.
     catalog_epoch: u64,
+    /// `router.shard{n}.requests`, one per shard, formatted once here so
+    /// `submit` allocates nothing for its per-shard counter.
+    shard_counters: Vec<String>,
 }
 
 impl<'a> Router<'a> {
@@ -335,6 +338,8 @@ impl<'a> Router<'a> {
                 Shard { active, active_tickets: BTreeMap::new(), draining: None }
             })
             .collect();
+        let shard_counters =
+            (0..cfg.shards).map(|s| format!("router.shard{s}.requests")).collect();
         Router {
             cfg,
             ring,
@@ -345,6 +350,7 @@ impl<'a> Router<'a> {
             faults: None,
             epoch: 0,
             catalog_epoch: 0,
+            shard_counters,
         }
     }
 
@@ -476,7 +482,9 @@ impl<'a> Router<'a> {
                     }
                     if lcrec_obs::enabled() {
                         lcrec_obs::hist_record("router.shard", shard as f64);
-                        lcrec_obs::counter_add(&format!("router.shard{shard}.requests"), 1);
+                        if let Some(name) = self.shard_counters.get(shard) {
+                            lcrec_obs::counter_add(name, 1);
+                        }
                     }
                     return Ok(ticket);
                 }

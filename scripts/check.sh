@@ -35,15 +35,22 @@
 #      the greps assert the copy-on-write trie stayed bit-identical to a
 #      full rebuild AND that the old snapshot still decodes bit-
 #      identically after growth (see docs/CATALOG.md);
-#  10. the dependency-free analysis passes (see docs/ANALYSIS.md): lint,
+#  10. a benchmark leg: the standalone crate under benchmark/ (its own
+#      workspace, so the legs above never build it) — its unit tests,
+#      then `full --smoke`, every workload and phase on a micro model.
+#      A break of the API the benchmark pins (`new_scratch`,
+#      `advance_batch_fused`, `prefill_batch_fused`,
+#      `multi_constrained_beam_search_scratch`, `Router`, …) fails the
+#      build here, and a wrong ranking fails its answer check;
+#  11. the dependency-free analysis passes (see docs/ANALYSIS.md): lint,
 #      call-graph panic reachability (panicscan), determinism hazards
 #      (detlint), public-API doc coverage and the env-var documentation
 #      gate; and
-#  11. a warning-free `cargo doc` build of the whole workspace.
+#  12. a warning-free `cargo doc` build of the whole workspace.
 #
 # Usage: scripts/check.sh [analysis-only|scale-tests-only]
 #
-#   analysis-only     run only stage 9 (seconds instead of minutes) — the
+#   analysis-only     run only stage 11 (seconds instead of minutes) — the
 #                     right loop when iterating on lint annotations or on
 #                     the analysis passes themselves.
 #   scale-tests-only  run only the scale-invariance suite (tests/scale.rs)
@@ -145,6 +152,11 @@ if grep -q "| NO |" target/check-evolve/evolve.md; then
   echo "evolve smoke-run: incremental trie or old-snapshot decode diverged" >&2
   exit 1
 fi
+
+echo "== benchmark (crate tests + full --smoke) =="
+cargo test --release --offline --quiet --manifest-path benchmark/Cargo.toml
+cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
+  full --smoke --out-dir target/check-benchmark > /dev/null
 
 run_analysis
 

@@ -150,6 +150,125 @@ fn fused_advance_matches_reference_advance_bitwise() {
     }
 }
 
+/// A model wide enough that the fused step's spawn-cost threshold lets
+/// rows split into lanes (`DecodeScratch::lanes_for`): 0.53 M parameters,
+/// the benchmark's medium shape over a small vocabulary.
+fn lane_sized_lm() -> CausalLm {
+    CausalLm::new(LmConfig {
+        vocab: 96,
+        dim: 128,
+        layers: 3,
+        heads: 4,
+        ff_hidden: 256,
+        max_seq: 48,
+        dropout: 0.0,
+        seed: 11,
+    })
+}
+
+fn f32_bits(xs: &[f32]) -> Vec<u32> {
+    xs.iter().map(|v| v.to_bits()).collect()
+}
+
+/// Every layer's cached keys and values, as bit patterns.
+fn cache_bits(lm: &CausalLm, cache: &lc_rec::core::KvCache) -> Vec<(Vec<u32>, Vec<u32>)> {
+    (0..lm.config().layers)
+        .map(|l| {
+            let (k, v) = cache.layer(l).expect("one cache entry per layer");
+            (f32_bits(k), f32_bits(v))
+        })
+        .collect()
+}
+
+/// Lanes are invisible in the bits: at every row count × thread count —
+/// uneven partitions and the inline path included — the fused step's
+/// logits **and** updated caches equal the reference `advance_batch`, on
+/// caches of unequal length.
+#[test]
+fn lane_parallel_step_matches_reference_step_bitwise() {
+    let lm = lane_sized_lm();
+    let mut scratch = lm.new_scratch();
+    for rows in [1usize, 7, 8, 16, 33] {
+        // Row r starts from an (r % 5 + 1)-token prefix of its own.
+        let mut ref_caches: Vec<_> = (0..rows)
+            .map(|r| {
+                let mut cache = lm.new_cache();
+                let prefix: Vec<u32> = (0..r % 5 + 1).map(|t| ((r * 7 + t * 3) % 96) as u32).collect();
+                lm.prefill(&mut cache, &prefix);
+                cache
+            })
+            .collect();
+        let start = ref_caches.clone();
+        let toks: Vec<u32> = (0..rows).map(|r| ((r * 13 + 5) % 96) as u32).collect();
+        let mut ref_slots: Vec<_> = ref_caches.iter_mut().collect();
+        let ref_rows = lm.advance_batch(&mut ref_slots, &toks);
+        let ref_logits: Vec<u32> = ref_rows.iter().flat_map(|row| f32_bits(row)).collect();
+        let mut widest = 1;
+        for threads in [1usize, 2, 4] {
+            scratch.set_pool(Pool::new(threads));
+            widest = widest.max(scratch.lanes_for(rows, rows));
+            let mut caches = start.clone();
+            let mut slots: Vec<_> = caches.iter_mut().collect();
+            let logits = f32_bits(lm.advance_batch_fused(&mut scratch, &mut slots, &toks));
+            assert_eq!(logits, ref_logits, "rows {rows} × threads {threads}: logits");
+            for (r, (got, want)) in caches.iter().zip(&ref_caches).enumerate() {
+                assert_eq!(got.len(), want.len(), "rows {rows} × threads {threads}, row {r}: cache length");
+                assert_eq!(
+                    cache_bits(&lm, got),
+                    cache_bits(&lm, want),
+                    "rows {rows} × threads {threads}, row {r}: cache contents"
+                );
+            }
+        }
+        // The matrix must cover real multi-lane steps, not only inline ones.
+        let expect = match rows {
+            1 => 1,
+            7 | 8 => 2,
+            _ => 4,
+        };
+        assert_eq!(widest, expect, "rows {rows}: lanes at 4 threads");
+    }
+}
+
+/// Lane-parallel prefill (each lane prefilling its own sequences through
+/// all their positions) equals the serial prefill and the reference, on
+/// ragged prompt lengths including an empty sequence.
+#[test]
+fn lane_parallel_prefill_matches_serial_prefill_bitwise() {
+    let lm = lane_sized_lm();
+    let lens = [5usize, 0, 17, 1, 9, 12, 3];
+    let prompts: Vec<Vec<u32>> = lens
+        .iter()
+        .enumerate()
+        .map(|(i, &n)| (0..n).map(|t| ((i * 11 + t * 5 + 1) % 96) as u32).collect())
+        .collect();
+    let seqs: Vec<&[u32]> = prompts.iter().map(Vec::as_slice).collect();
+    let mut ref_caches: Vec<_> = seqs.iter().map(|_| lm.new_cache()).collect();
+    let ref_logits = lm.prefill_batch(&mut ref_caches, &seqs);
+    let mut scratch = lm.new_scratch();
+    for threads in [1usize, 2, 4] {
+        scratch.set_pool(Pool::new(threads));
+        let tokens: usize = lens.iter().sum();
+        assert_eq!(scratch.lanes_for(seqs.len(), tokens), threads, "47 tokens split at this model size");
+        let mut caches: Vec<_> = seqs.iter().map(|_| lm.new_cache()).collect();
+        let logits = lm.prefill_batch_fused(&mut scratch, &mut caches, &seqs);
+        assert_eq!(logits.len(), seqs.len());
+        assert!(logits[1].is_empty(), "an empty sequence yields an empty row");
+        assert!(caches[1].is_empty(), "and leaves its cache untouched");
+        for (i, ((got, want), (cache, ref_cache))) in
+            logits.iter().zip(&ref_logits).zip(caches.iter().zip(&ref_caches)).enumerate()
+        {
+            assert_eq!(f32_bits(got), f32_bits(want), "threads {threads}, sequence {i}: logits");
+            assert_eq!(cache.len(), lens[i], "threads {threads}, sequence {i}: cache length");
+            assert_eq!(
+                cache_bits(&lm, cache),
+                cache_bits(&lm, ref_cache),
+                "threads {threads}, sequence {i}: cache contents"
+            );
+        }
+    }
+}
+
 /// Reusing one scratch across many decodes (the serving engine's pattern)
 /// must give the same bits as a fresh scratch per call.
 #[test]

@@ -5,7 +5,10 @@
 //! The registry and its gate are process-global, so every test takes
 //! `GUARD` and leaves the gate disabled on exit.
 
-use lc_rec::core::{constrained_beam_search_with, CausalLm, ExtendedVocab, LmConfig};
+use lc_rec::core::{
+    constrained_beam_search_graph, constrained_beam_search_with,
+    multi_constrained_beam_search_with, CausalLm, ExtendedVocab, LmConfig,
+};
 use lc_rec::obs;
 use lc_rec::prelude::*;
 use std::sync::{Mutex, MutexGuard};
@@ -141,4 +144,63 @@ fn full_snapshot_has_profile_but_deterministic_json_does_not() {
     );
     let table = snap.table();
     assert!(table.contains("test.phase_s") && table.contains("test.count"));
+}
+
+/// The last level is never advanced: a search that fills every beam runs
+/// `Σ width × (levels − 1)` rows through the LM — at any thread count —
+/// and still ranks exactly as the graph baseline, which re-forwards every
+/// candidate of every level.
+#[test]
+fn last_level_is_not_advanced_and_rankings_match_the_graph_baseline() {
+    let _l = lock();
+    let base = Vocab::build(["the user bought several items recommend one more"], 1);
+    // 3 levels, 12 items: every level offers each request at least `width`
+    // candidates, so every beam fills.
+    let indices = ItemIndices::new(
+        vec![4, 4, 4],
+        vec![
+            vec![0, 0, 0], vec![0, 0, 1], vec![0, 1, 2], vec![0, 3, 3],
+            vec![1, 0, 0], vec![1, 2, 2], vec![1, 2, 3], vec![2, 0, 1],
+            vec![2, 1, 1], vec![3, 0, 0], vec![3, 2, 0], vec![3, 3, 3],
+        ],
+    );
+    let trie = IndexTrie::build(&indices);
+    let vocab = ExtendedVocab::new(base, indices);
+    let lm = CausalLm::new(LmConfig::test(vocab.len()));
+    let prompts: Vec<Vec<u32>> = ["recommend one more", "the user bought items", "several items"]
+        .iter()
+        .map(|t| vocab.render(&[Seg::Text((*t).into())]))
+        .collect();
+    let widths = [4usize, 2, 3];
+    let bits = |hyps: &[lc_rec::core::Hypothesis]| -> Vec<(u32, u32)> {
+        hyps.iter().map(|h| (h.item, h.logprob.to_bits())).collect()
+    };
+    let oracle: Vec<Vec<(u32, u32)>> = prompts
+        .iter()
+        .zip(&widths)
+        .map(|(p, &w)| bits(&constrained_beam_search_graph(&lm, &vocab, &trie, p, w)))
+        .collect();
+    for threads in [1usize, 4] {
+        obs::set_enabled(true);
+        obs::reset();
+        let got = multi_constrained_beam_search_with(
+            &Pool::new(threads),
+            &lm,
+            &vocab,
+            &trie,
+            &prompts,
+            &widths,
+        );
+        let snap = obs::snapshot();
+        obs::set_enabled(false);
+        let rows: usize = widths.iter().map(|w| w * (trie.levels() - 1)).sum();
+        assert_eq!(snap.counter("beam.cache_advances"), rows as u64, "threads {threads}");
+        assert_eq!(snap.counter("lm.decode_tokens"), rows as u64, "threads {threads}");
+        let prompt_tokens: usize = prompts.iter().map(Vec::len).sum();
+        assert_eq!(snap.counter("lm.prefill_tokens"), prompt_tokens as u64, "threads {threads}");
+        for (ranked, want) in got.iter().zip(&oracle) {
+            assert_eq!(ranked.len(), want.len());
+            assert_eq!(&bits(ranked), want, "threads {threads}: ranking vs graph baseline");
+        }
+    }
 }

@@ -158,6 +158,28 @@ fn overlong_history_is_front_truncated_to_the_context_window() {
     assert_eq!(ranked_bits(&out[0].ranked), ranked_bits(&direct));
 }
 
+/// Regression: `LcRec::render_prompt` computed `max_seq - levels - 1`
+/// unsaturated, which panics in debug builds (and wraps in release) once
+/// the context window is no larger than one item index. It now shares the
+/// engine's saturating budget, so both degrade to a BOS-only prompt.
+#[test]
+fn a_window_smaller_than_one_index_truncates_instead_of_underflowing() {
+    let ds = Dataset::generate(&DatasetConfig::tiny());
+    let codes: Vec<Vec<u16>> =
+        (0..ds.num_items()).map(|i| vec![(i / 64) as u16, (i / 8 % 8) as u16, (i % 8) as u16]).collect();
+    let indices = ItemIndices::new(vec![8, 8, 8], codes);
+    for max_seq in [1usize, 2, 3, 4] {
+        let mut cfg = LcRecConfig::test();
+        cfg.max_seq = max_seq;
+        let model = LcRec::build(&ds, indices.clone(), cfg);
+        let bos = vec![lc_rec::text::token::BOS];
+        let from_model = model.render_prompt(&[Seg::Text("recommend".into()), Seg::Items(vec![0, 1, 2])]);
+        assert_eq!(from_model, bos, "max_seq {max_seq}");
+        let engine = Engine::for_model(&model, ServeConfig::default());
+        assert_eq!(engine.render_prompt(&[0, 1, 2]), bos, "max_seq {max_seq}");
+    }
+}
+
 #[test]
 fn k_zero_is_rejected_with_a_typed_error() {
     let (_ds, model) = tiny_model();
