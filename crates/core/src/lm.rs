@@ -23,6 +23,7 @@ use lcrec_tensor::{
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::borrow::BorrowMut;
 
 thread_local! {
     /// True while `prefill` drives `advance`, so the shared single-token
@@ -64,10 +65,10 @@ impl LmConfig {
 
     /// The scale-tier configuration: wide and deep enough that the weight
     /// set (reported by [`CausalLm::param_bytes`]) exceeds a typical
-    /// last-level cache, so serving benchmarks at this tier exercise the
-    /// memory system rather than replaying cache-resident GEMMs — the
-    /// regime `results/scale.md` measures (see docs/PERFORMANCE.md,
-    /// "Scale tiers").
+    /// last-level cache, so every weight pass at this tier comes from
+    /// memory — the regime `results/scale.md` measures. A batch's steps are
+    /// bound by arithmetic, not bandwidth, even there: a pass is shared by
+    /// every row of a step (docs/PERFORMANCE.md, roofline table).
     pub fn large(vocab: usize) -> Self {
         LmConfig { vocab, dim: 320, layers: 5, heads: 8, ff_hidden: 640, max_seq: 160, dropout: 0.1, seed: 1234 }
     }
@@ -222,8 +223,8 @@ struct LaneScratch {
     scores: Vec<f32>,
     probs: Vec<f32>,
     xf: Vec<f32>,
-    /// Per-position logits of a prefill lane (decode lanes write straight
-    /// into their slice of [`DecodeScratch::logits`]).
+    /// Last-token logits of a prefill lane's current pass (decode lanes
+    /// write straight into their slice of [`DecodeScratch::logits`]).
     logits: Vec<f32>,
 }
 
@@ -247,13 +248,21 @@ struct PrefillLane<'a> {
 /// Least work (rows × scalar parameters, i.e. multiply-adds) a lane must
 /// carry to be worth its spawn. Measured on the 2-core benchmark box:
 /// spawning and joining one scoped worker costs 53–66 µs
-/// (`par.map_spawn_us`) and a 0.54 M-parameter row takes 75–100 µs, so
-/// this is ~250 µs of arithmetic per lane — four to five spawns. With the
-/// threshold forced to 1, two lanes against one on that model broke even
-/// at 4 rows (0.98x) and won from 6 (1.20x; 1.31x at 8, 1.73x at 20), so a
-/// lone request's `k = 4` rows (2.2 M) stay inline and six rows and up
-/// split. See [`DecodeScratch::lanes_for`] and docs/PERFORMANCE.md.
+/// (`par.map_spawn_us`) and a 0.54 M-parameter row takes 97–152 µs with
+/// the register-tiled kernel (148–181 µs on the panel kernel it replaced,
+/// alternating runs), so this is about three rows — five to six spawns —
+/// per lane. With the threshold forced to 1, two lanes against one on that
+/// model read 0.93–1.10x at 4 rows, 0.87–1.25x at 6, 0.99–1.30x at 10 and
+/// 1.28–1.43x at 20: break-even stayed at 4–5 rows when the kernel
+/// changed, so the constant held. A lone request's `k = 4` rows (2.2 M)
+/// stay inline and six rows and up split. See
+/// [`DecodeScratch::lanes_for`] and docs/PERFORMANCE.md.
 const LANE_MIN_WORK: usize = 1_500_000;
+
+/// Most prompt tokens a prefill lane feeds through the fused forward at
+/// once: its buffers are `rows x ff_hidden` and stay allocated, and past
+/// 64 rows a weight pass buys nothing more (docs/PERFORMANCE.md, "Lanes").
+const PREFILL_PASS_ROWS: usize = 64;
 
 /// Cuts `weights` into `lanes` contiguous runs of near-equal total weight
 /// and returns each run's length: run `i` ends at the first element where
@@ -548,9 +557,10 @@ impl CausalLm {
         logits
     }
 
-    /// Batched [`CausalLm::prefill`]: runs each sequence through its own
-    /// cache in position lockstep — step `t` feeds token `t` of every
-    /// sequence that still has one, sharing a single weight pass per step.
+    /// Batched [`CausalLm::prefill`], the reference the sequence-major
+    /// [`CausalLm::prefill_batch_fused`] is bit-compared against: each
+    /// sequence runs through its own cache in position lockstep — step `t`
+    /// feeds token `t` of every sequence that still has one.
     /// Ragged lengths simply drop finished slots from later steps, so each
     /// slot sees exactly the arithmetic of a solo prefill (bit-identical
     /// logits and cache contents).
@@ -654,7 +664,7 @@ impl CausalLm {
             parts.push(DecodeLane { scratch: lane, caches: lane_caches, tokens: lane_tokens, logits: lane_logits });
         }
         pool.for_each_mut(&mut parts, |_, p| {
-            self.step_rows(head_t, p.scratch, p.caches, p.tokens, p.logits);
+            self.step_rows(head_t, p.scratch, p.caches, p.tokens.chunks(1), p.logits);
         });
         if obs_watch.running() {
             lcrec_obs::counter_add("lm.decode_tokens", b as u64);
@@ -663,20 +673,24 @@ impl CausalLm {
         &scratch.logits
     }
 
-    /// One token into each of `caches` through the whole transformer —
-    /// every layer, attention over each row's own cache, final norm and
-    /// tied head — accumulating the rows' logits into `logits` (zeroed by
-    /// the caller, `caches.len() * vocab` long). This is a lane's work:
-    /// it touches nothing but its arguments and records no observability.
-    fn step_rows(
+    /// The one fused forward: a run of tokens into each of `caches` through
+    /// the whole transformer. Every token of every run is a row of one GEMM
+    /// per projection per layer; a run's K/V rows are appended to its cache
+    /// at once and row `t` of a run attends causally over cache rows
+    /// `0..=base + t`; the final norm and tied head run on the last row of
+    /// each non-empty run only, accumulating into `logits` (zeroed by the
+    /// caller, one `vocab`-long row per non-empty run, in slot order). A
+    /// decode step is the run-length-1 case. This is a lane's work: it
+    /// touches nothing but its arguments and records no observability.
+    fn step_rows<'t, C: BorrowMut<KvCache>>(
         &self,
         head_t: &[f32],
         scratch: &mut LaneScratch,
-        caches: &mut [&mut KvCache],
-        tokens: &[u32],
+        caches: &mut [C],
+        runs: impl Iterator<Item = &'t [u32]> + Clone,
         logits: &mut [f32],
     ) {
-        let b = caches.len();
+        let b: usize = runs.clone().map(<[u32]>::len).sum();
         if b == 0 {
             return;
         }
@@ -694,17 +708,18 @@ impl CausalLm {
         ensure_zeroed(&mut scratch.down, b * d);
         // Attention buffers sized to the deepest slot after this step (the
         // clamp to max_seq is positional only; callers may run longer).
-        let tmax = caches.iter().map(|c| c.len + 1).max().unwrap_or(1);
+        let depth = |(c, run): (&C, &[u32])| c.borrow().len + run.len();
+        let tmax = caches.iter().zip(runs.clone()).map(depth).max().unwrap_or(1);
         ensure_zeroed(&mut scratch.scores, tmax);
         ensure_zeroed(&mut scratch.probs, tmax);
-        ensure_zeroed(&mut scratch.xf, b * d);
-        for ((&token, cache), row) in
-            tokens.iter().zip(caches.iter()).zip(scratch.xs.chunks_exact_mut(d))
-        {
-            let pos = cache.len.min(self.cfg.max_seq - 1);
-            row.copy_from_slice(tok_table.row(token as usize));
-            for (xi, pi) in row.iter_mut().zip(pos_table.row(pos)) {
-                *xi += pi;
+        let mut xrows = scratch.xs.chunks_exact_mut(d);
+        for (cache, run) in caches.iter().zip(runs.clone()) {
+            for ((t, &token), row) in run.iter().enumerate().zip(&mut xrows) {
+                let pos = (cache.borrow().len + t).min(self.cfg.max_seq - 1);
+                row.copy_from_slice(tok_table.row(token as usize));
+                for (xi, pi) in row.iter_mut().zip(pos_table.row(pos)) {
+                    *xi += pi;
+                }
             }
         }
         for (l, blk) in self.blocks.iter().enumerate() {
@@ -717,31 +732,35 @@ impl CausalLm {
             backend.gemm_acc(&scratch.xn, self.ps.value(blk.wv).data(), &mut scratch.v, b, d, d);
             let scale = 1.0 / (dh as f32).sqrt();
             ensure_zeroed(&mut scratch.ctx, b * d);
-            for (r, cache) in caches.iter_mut().enumerate() {
-                cache.k[l].extend_from_slice(&scratch.k[r * d..(r + 1) * d]); // lint: allow(panic, reason = "l enumerates self.blocks, which sized every cache; scratch.k holds b*d values and r < b")
-                cache.v[l].extend_from_slice(&scratch.v[r * d..(r + 1) * d]); // lint: allow(panic, reason = "l enumerates self.blocks, which sized every cache; scratch.v holds b*d values and r < b")
-                let t = cache.len + 1;
-                for head in 0..h {
-                    let qh = &scratch.q[r * d + head * dh..r * d + (head + 1) * dh]; // lint: allow(panic, reason = "head < h and h * dh == d, so the slice stays inside row r of the b*d buffer")
-                    // Scores over all of this slot's cached positions, into
-                    // the preallocated score buffer (t <= max_seq by the
-                    // cache-length clamp every caller maintains).
-                    let scores = &mut scratch.scores[..t]; // lint: allow(panic, reason = "the buffer was sized to the max of every slot's len + 1 before the layer loop; t = cache.len + 1 for this slot")
-                    for (ti, s) in scores.iter_mut().enumerate() {
-                        let kh = &cache.k[l][ti * d + head * dh..ti * d + (head + 1) * dh]; // lint: allow(panic, reason = "cache.k[l] holds t rows of d values after the extend above; ti < t")
-                        let dot: f32 = qh.iter().zip(kh).map(|(qv, kv)| qv * kv).sum();
-                        *s = dot * scale;
-                    }
-                    let probs = &mut scratch.probs[..t]; // lint: allow(panic, reason = "t <= max_seq, the buffer's length")
-                    softmax_rows(scores, probs, t);
-                    let out = &mut scratch.ctx[r * d + head * dh..r * d + (head + 1) * dh]; // lint: allow(panic, reason = "ctx was sized to b*d zeros; r < b and head < h with h * dh == d")
-                    for (ti, &p) in probs.iter().enumerate() {
-                        let vh = &cache.v[l][ti * d + head * dh..ti * d + (head + 1) * dh]; // lint: allow(panic, reason = "cache.v[l] holds t rows of d values after the extend above; ti < t")
-                        for (o, &vv) in out.iter_mut().zip(vh) {
-                            *o += p * vv;
+            let mut r0 = 0;
+            for (cache, run) in caches.iter_mut().zip(runs.clone()) {
+                let cache: &mut KvCache = cache.borrow_mut();
+                let r1 = r0 + run.len();
+                cache.k[l].extend_from_slice(&scratch.k[r0 * d..r1 * d]); // lint: allow(panic, reason = "l enumerates self.blocks, which sized every cache; scratch.k holds b*d values and r1 <= b, the runs' total length")
+                cache.v[l].extend_from_slice(&scratch.v[r0 * d..r1 * d]); // lint: allow(panic, reason = "l enumerates self.blocks, which sized every cache; scratch.v holds b*d values and r1 <= b, the runs' total length")
+                for (r, t) in (r0..r1).zip(cache.len + 1..) {
+                    for head in 0..h {
+                        let qh = &scratch.q[r * d + head * dh..r * d + (head + 1) * dh]; // lint: allow(panic, reason = "head < h and h * dh == d, so the slice stays inside row r of the b*d buffer")
+                        // Scores over the cached positions this row may see:
+                        // the slot's earlier ones and its own run up to r.
+                        let scores = &mut scratch.scores[..t]; // lint: allow(panic, reason = "the buffer was sized to the max of every slot's len + run length before the layer loop; t <= cache.len + run.len() for this slot")
+                        for (ti, s) in scores.iter_mut().enumerate() {
+                            let kh = &cache.k[l][ti * d + head * dh..ti * d + (head + 1) * dh]; // lint: allow(panic, reason = "cache.k[l] holds cache.len + run.len() rows of d values after the extend above; ti < t")
+                            let dot: f32 = qh.iter().zip(kh).map(|(qv, kv)| qv * kv).sum();
+                            *s = dot * scale;
+                        }
+                        let probs = &mut scratch.probs[..t]; // lint: allow(panic, reason = "sized with scores, to at least t")
+                        softmax_rows(scores, probs, t);
+                        let out = &mut scratch.ctx[r * d + head * dh..r * d + (head + 1) * dh]; // lint: allow(panic, reason = "ctx was sized to b*d zeros; r < b and head < h with h * dh == d")
+                        for (ti, &p) in probs.iter().enumerate() {
+                            let vh = &cache.v[l][ti * d + head * dh..ti * d + (head + 1) * dh]; // lint: allow(panic, reason = "cache.v[l] holds cache.len + run.len() rows of d values after the extend above; ti < t")
+                            for (o, &vv) in out.iter_mut().zip(vh) {
+                                *o += p * vv;
+                            }
                         }
                     }
                 }
+                r0 = r1;
             }
             scratch.att.fill(0.0);
             backend.gemm_acc(&scratch.ctx, self.ps.value(blk.wo).data(), &mut scratch.att, b, d, d);
@@ -762,26 +781,36 @@ impl CausalLm {
                 *xi += dv;
             }
         }
-        for cache in caches.iter_mut() {
-            cache.len += 1;
+        for (cache, run) in caches.iter_mut().zip(runs.clone()) {
+            cache.borrow_mut().len += run.len();
         }
-        rms_rows_into(&scratch.xs, self.ps.value(self.final_norm).data(), &mut scratch.xf);
+        // Final norm on each non-empty run's last row, packed run by run.
+        let ended = runs.clone().filter(|run| !run.is_empty()).count();
+        debug_assert_eq!(logits.len(), ended * self.cfg.vocab, "one logit row per non-empty run");
+        ensure_zeroed(&mut scratch.xf, ended * d);
+        let mut r1 = 0;
+        for (run, xf) in runs.filter(|run| !run.is_empty()).zip(scratch.xf.chunks_exact_mut(d)) {
+            r1 += run.len();
+            rms_rows_into(&scratch.xs[(r1 - 1) * d..r1 * d], self.ps.value(self.final_norm).data(), xf); // lint: allow(panic, reason = "r1 <= b, the runs' total length, and xs holds b*d values")
+        }
         // Tied head: logits = xf @ tok_emb^T, through the cached transpose
         // so the inner loop streams contiguously over the vocabulary. The
         // dense kernel keeps every `+ 0.0 * w` term, matching the scalar
         // dot loop of the reference path bit for bit.
-        backend.gemm_dense_acc(&scratch.xf, head_t, logits, b, d, self.cfg.vocab);
+        backend.gemm_dense_acc(&scratch.xf, head_t, logits, ended, d, self.cfg.vocab);
     }
 
-    /// The fused fast-path variant of [`CausalLm::prefill_batch`]. The
-    /// sequences are cut into contiguous lanes of near-equal token count
-    /// over the scratch's pool; each lane prefills **its own** sequences
-    /// through all their positions in the same position-lockstep schedule
-    /// (one spawn per prefill, not one per position), every transformer
-    /// step going through the fused row kernel. Returns the logits after
-    /// each sequence's last token, in slot order (empty rows for empty
-    /// sequences), bit-identical to the reference prefill at any lane
-    /// count: a sequence's arithmetic never depends on its batch-mates.
+    /// The fused fast-path variant of [`CausalLm::prefill_batch`],
+    /// **sequence-major**: the sequences are cut into contiguous lanes of
+    /// near-equal token count over the scratch's pool (one spawn per
+    /// prefill), and each lane feeds **its own** sequences through the fused
+    /// forward whole — every prompt token a GEMM row, the weights walked
+    /// once per pass instead of once per position, the head run on each
+    /// sequence's last token only. Returns the logits after each
+    /// sequence's last token, in slot order (empty rows for empty
+    /// sequences). Logits and caches are bit-identical to the reference
+    /// prefill at any lane count: a row's arithmetic never depends on its
+    /// batch-mates, and attention reads the same cache values.
     pub fn prefill_batch_fused(
         &self,
         scratch: &mut DecodeScratch,
@@ -816,33 +845,29 @@ impl CausalLm {
         outs
     }
 
-    /// Prefills one lane's sequences in position lockstep: step `t` feeds
-    /// token `t` of every sequence that still has one, and a sequence's
-    /// logits are kept from the step that fed its last token.
+    /// Prefills one lane's sequences, in passes of whole sequences of at
+    /// most [`PREFILL_PASS_ROWS`] tokens (a longer sequence is a pass of
+    /// its own), so the lane's buffers stay bounded.
     fn prefill_lane(&self, head_t: &[f32], lane: &mut PrefillLane<'_>) {
         let vocab = self.cfg.vocab;
-        let longest = lane.seqs.iter().map(|s| s.len()).max().unwrap_or(0);
         let mut logits = std::mem::take(&mut lane.scratch.logits);
-        for t in 0..longest {
-            let mut slots: Vec<&mut KvCache> = Vec::new();
-            let mut toks: Vec<u32> = Vec::new();
-            // Output rows of the sequences for which `t` is the last token.
-            let mut ending: Vec<Option<&mut Vec<f32>>> = Vec::new();
-            for ((cache, seq), out) in
-                lane.caches.iter_mut().zip(lane.seqs).zip(lane.outs.iter_mut())
-            {
-                if let Some(&tok) = seq.get(t) {
-                    slots.push(cache);
-                    toks.push(tok);
-                    ending.push((t + 1 == seq.len()).then_some(out));
-                }
-            }
-            ensure_zeroed(&mut logits, slots.len() * vocab);
-            self.step_rows(head_t, lane.scratch, &mut slots, &toks, &mut logits);
-            for (row, out) in logits.chunks_exact(vocab.max(1)).zip(ending) {
-                if let Some(out) = out {
-                    *out = row.to_vec();
-                }
+        while !lane.seqs.is_empty() {
+            let mut rows = 0;
+            let fits = |seq: &&&[u32]| {
+                rows += seq.len();
+                rows <= PREFILL_PASS_ROWS || rows == seq.len()
+            };
+            let pass = lane.seqs.iter().take_while(fits).count();
+            let (seqs, seq_rest) = lane.seqs.split_at(pass);
+            let (caches, cache_rest) = std::mem::take(&mut lane.caches).split_at_mut(pass);
+            let (outs, out_rest) = std::mem::take(&mut lane.outs).split_at_mut(pass);
+            (lane.seqs, lane.caches, lane.outs) = (seq_rest, cache_rest, out_rest);
+            let ended = seqs.iter().filter(|seq| !seq.is_empty()).count();
+            ensure_zeroed(&mut logits, ended * vocab);
+            self.step_rows(head_t, lane.scratch, caches, seqs.iter().copied(), &mut logits);
+            let ended = outs.iter_mut().zip(seqs).filter(|(_, seq)| !seq.is_empty());
+            for ((out, _), row) in ended.zip(logits.chunks_exact(vocab.max(1))) {
+                out.extend_from_slice(row);
             }
         }
         lane.scratch.logits = logits;

@@ -8,12 +8,14 @@
 //! * [`ReferenceBackend`] — the exact loops the autograd engine uses
 //!   ([`crate::matmul_acc`] plus a dense row-vector product). This is the
 //!   semantics anchor: every other backend must match it **bit for bit**.
-//! * [`BlockedBackend`] — the same arithmetic tiled into column panels so
-//!   the weight panel stays L1-resident while every batch row streams over
-//!   it. Per output element the accumulation order is unchanged (`k`
-//!   ascending), so results are bit-identical to the reference — the
-//!   blocking only reorders *which elements* are computed when, never the
-//!   floating-point operation sequence inside one element.
+//! * [`BlockedBackend`] — the same arithmetic cut into 4 x 32 register
+//!   tiles: a tile of `out` is loaded once, accumulated over the whole `k`
+//!   range and stored once, so the inner loop reads one weight per four
+//!   multiply-adds and never touches `out`. Per output element the
+//!   accumulation order is unchanged (`k` ascending), so results are
+//!   bit-identical to the reference — tiling only reorders *which
+//!   elements* are computed when. From a few rows per call up it is bound
+//!   by arithmetic, not memory (roofline table, `docs/PERFORMANCE.md`).
 //!
 //! Two kernels exist because the decode path has two accumulation
 //! contracts (see `docs/PERFORMANCE.md`):
@@ -35,10 +37,12 @@
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
-/// Column-panel width for [`BlockedBackend`]: 64 `f32` columns × a decode
-/// depth of ≤ 128 rows keeps a weight panel comfortably inside a 32 KiB L1
-/// while every batch row is streamed over it.
-const PANEL: usize = 64;
+/// Rows of a [`BlockedBackend`] register tile (a lone `k = 4` request is
+/// one tile high; 3/2/1-row tails run the same code).
+const MR: usize = 4;
+/// Columns of a tile: wide enough to amortise `gemm_acc`'s per-(row, `k`)
+/// zero test. 4 x 32 was best or within 10% of it on every model shape.
+const NR: usize = 32;
 
 /// Raw matrix kernels behind the KV-cached inference fast path.
 ///
@@ -109,46 +113,73 @@ impl InferenceBackend for ReferenceBackend {
     }
 }
 
-/// Cache-blocked kernels: the `n` dimension is tiled into `PANEL`-column
-/// (64-column) panels, and every `a` row streams over one L1-resident weight panel
-/// before the next panel is touched. Inside one output element the
-/// accumulation still runs over `k` in ascending order, so the result is
-/// bit-identical to [`ReferenceBackend`] — blocking reorders the schedule
-/// across elements, never the operation sequence within one.
+/// Register-tiled kernels: `out` is cut into `MR` x `NR` (4 x 32) tiles, each
+/// loaded into a local accumulator block once, updated over the whole `k`
+/// range and stored back once. Every output element still starts from its
+/// value in `out` and accumulates over `k` in ascending order, so the
+/// result is bit-identical to [`ReferenceBackend`] (see the module docs).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct BlockedBackend;
 
 impl BlockedBackend {
+    /// `out[.., j0..j0 + NR] += a @ b[.., j0..j0 + NR]` for the `R` rows
+    /// `a` (`[R, k]`) and `out` (`[R, n]`) hold.
     #[inline]
-    fn gemm_panels(
-        a: &[f32],
-        b: &[f32],
-        out: &mut [f32],
-        m: usize,
-        k: usize,
-        n: usize,
-        skip_zero: bool,
-    ) {
+    fn tile<const R: usize>(a: &[f32], b: &[f32], out: &mut [f32], k: usize, n: usize, j0: usize, skip_zero: bool) {
+        let mut acc = [[0.0f32; NR]; R];
+        for (accr, orow) in acc.iter_mut().zip(out.chunks_exact(n)) {
+            accr.copy_from_slice(&orow[j0..j0 + NR]); // lint: allow(panic, reason = "j0 + NR <= n: the caller only tiles the whole NR-column strips of an n-wide row")
+        }
+        for (kk, brow) in b.chunks_exact(n).enumerate() {
+            let bseg = &brow[j0..j0 + NR]; // lint: allow(panic, reason = "j0 + NR <= n: the caller only tiles the whole NR-column strips of an n-wide row")
+            for (accr, arow) in acc.iter_mut().zip(a.chunks_exact(k)) {
+                let av = arow[kk]; // lint: allow(panic, reason = "kk enumerates the k rows of b and every a row is k long")
+                if skip_zero && av == 0.0 {
+                    continue;
+                }
+                for (o, &bv) in accr.iter_mut().zip(bseg) {
+                    *o += av * bv;
+                }
+            }
+        }
+        for (accr, orow) in acc.iter().zip(out.chunks_exact_mut(n)) {
+            orow[j0..j0 + NR].copy_from_slice(accr); // lint: allow(panic, reason = "j0 + NR <= n: the caller only tiles the whole NR-column strips of an n-wide row")
+        }
+    }
+
+    #[inline]
+    fn gemm_tiled(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize, skip_zero: bool) {
         debug_assert_eq!(a.len(), m * k);
         debug_assert_eq!(b.len(), k * n);
         debug_assert_eq!(out.len(), m * n);
-        let mut j0 = 0;
-        while j0 < n {
-            let j1 = (j0 + PANEL).min(n);
-            for i in 0..m {
-                let arow = &a[i * k..(i + 1) * k]; // lint: allow(panic, reason = "a.len() == m*k is debug-asserted and upheld by every caller's shape checks")
-                let orow = &mut out[i * n + j0..i * n + j1]; // lint: allow(panic, reason = "out.len() == m*n is debug-asserted and j0 <= j1 <= n")
-                for (kk, &av) in arow.iter().enumerate() {
+        if k == 0 || n == 0 {
+            return;
+        }
+        let tiled = n - n % NR;
+        for j0 in (0..tiled).step_by(NR) {
+            for (ablk, oblk) in a.chunks(MR * k).zip(out.chunks_mut(MR * n)) {
+                match ablk.len() / k {
+                    1 => Self::tile::<1>(ablk, b, oblk, k, n, j0, skip_zero),
+                    2 => Self::tile::<2>(ablk, b, oblk, k, n, j0, skip_zero),
+                    3 => Self::tile::<3>(ablk, b, oblk, k, n, j0, skip_zero),
+                    _ => Self::tile::<MR>(ablk, b, oblk, k, n, j0, skip_zero),
+                }
+            }
+        }
+        // The last `n % NR` columns: plain row-times-segment updates.
+        if tiled < n {
+            for (arow, orow) in a.chunks_exact(k).zip(out.chunks_exact_mut(n)) {
+                let oseg = &mut orow[tiled..]; // lint: allow(panic, reason = "tiled <= n, the row's length")
+                for (&av, brow) in arow.iter().zip(b.chunks_exact(n)) {
                     if skip_zero && av == 0.0 {
                         continue;
                     }
-                    let bseg = &b[kk * n + j0..kk * n + j1]; // lint: allow(panic, reason = "b.len() == k*n is debug-asserted, kk < k from the arow loop and j0 <= j1 <= n")
-                    for (o, &bv) in orow.iter_mut().zip(bseg) {
+                    let bseg = &brow[tiled..]; // lint: allow(panic, reason = "tiled <= n, the row's length")
+                    for (o, &bv) in oseg.iter_mut().zip(bseg) {
                         *o += av * bv;
                     }
                 }
             }
-            j0 = j1;
         }
     }
 }
@@ -159,11 +190,11 @@ impl InferenceBackend for BlockedBackend {
     }
 
     fn gemm_acc(&self, a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-        BlockedBackend::gemm_panels(a, b, out, m, k, n, true);
+        BlockedBackend::gemm_tiled(a, b, out, m, k, n, true);
     }
 
     fn gemm_dense_acc(&self, a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-        BlockedBackend::gemm_panels(a, b, out, m, k, n, false);
+        BlockedBackend::gemm_tiled(a, b, out, m, k, n, false);
     }
 }
 
@@ -239,53 +270,67 @@ mod tests {
         }
     }
 
+    /// Every tile shape: full tiles, each row tail (M mod MR) and column
+    /// tails on both sides of NR, as `(m, k, n, a, b, out)` with
+    /// zero-bearing `a` (one `-0.0`; row 1 all zero) and a non-zero `out`
+    /// (row 1 all `-0.0`, which only the zero-skipping kernel leaves so).
+    fn tile_cases() -> Vec<(usize, usize, usize, Vec<f32>, Vec<f32>, Vec<f32>)> {
+        let mut seed = 42u64;
+        let mut cases = Vec::new();
+        for m in 1..=9usize {
+            for n in [1usize, 31, 32, 33, 70, 130, 200, 320] {
+                for k in [1usize, 17, 128] {
+                    let mut a = vec![0.0f32; m * k];
+                    let mut b = vec![0.0f32; k * n];
+                    let mut out = vec![0.0f32; m * n];
+                    fill(&mut seed, &mut a, true);
+                    fill(&mut seed, &mut b, false);
+                    fill(&mut seed, &mut out, false);
+                    if m > 1 {
+                        a[k..2 * k].fill(0.0);
+                        out[n..2 * n].fill(-0.0);
+                    }
+                    a[k / 2] = -0.0;
+                    cases.push((m, k, n, a, b, out));
+                }
+            }
+        }
+        cases
+    }
+
+    fn bits(xs: &[f32]) -> Vec<u32> {
+        xs.iter().map(|v| v.to_bits()).collect()
+    }
+
     #[test]
     fn blocked_matches_reference_bit_for_bit() {
-        let mut seed = 42u64;
-        // Shapes straddling the panel width, incl. the decode shapes
-        // (batch × dim, dim × vocab).
-        for &(m, k, n) in
-            &[(1, 1, 1), (3, 16, 48), (8, 48, 96), (5, 48, 300), (2, 17, 129), (7, 64, 64)]
-        {
-            let mut a = vec![0.0f32; m * k];
-            let mut b = vec![0.0f32; k * n];
-            fill(&mut seed, &mut a, true);
-            fill(&mut seed, &mut b, false);
-            let mut r1 = vec![0.0f32; m * n];
-            let mut r2 = vec![0.0f32; m * n];
+        for (m, k, n, a, b, out) in tile_cases() {
+            let (mut r1, mut r2) = (out.clone(), out.clone());
             ReferenceBackend.gemm_acc(&a, &b, &mut r1, m, k, n);
             BlockedBackend.gemm_acc(&a, &b, &mut r2, m, k, n);
-            for (x, y) in r1.iter().zip(&r2) {
-                assert_eq!(x.to_bits(), y.to_bits(), "gemm_acc {m}x{k}x{n}");
-            }
-            let mut d1 = vec![0.0f32; m * n];
-            let mut d2 = vec![0.0f32; m * n];
+            assert_eq!(bits(&r1), bits(&r2), "gemm_acc {m}x{k}x{n}");
+            let (mut d1, mut d2) = (out.clone(), out);
             ReferenceBackend.gemm_dense_acc(&a, &b, &mut d1, m, k, n);
             BlockedBackend.gemm_dense_acc(&a, &b, &mut d2, m, k, n);
-            for (x, y) in d1.iter().zip(&d2) {
-                assert_eq!(x.to_bits(), y.to_bits(), "gemm_dense_acc {m}x{k}x{n}");
-            }
+            assert_eq!(bits(&d1), bits(&d2), "gemm_dense_acc {m}x{k}x{n}");
         }
     }
 
     #[test]
     fn dense_kernel_matches_scalar_dot_bit_for_bit() {
-        // The LM head contract: one output element == the scalar loop.
-        let mut seed = 7u64;
-        let (m, k, n) = (3usize, 48usize, 130usize);
-        let mut a = vec![0.0f32; m * k];
-        let mut b = vec![0.0f32; k * n];
-        fill(&mut seed, &mut a, true);
-        fill(&mut seed, &mut b, false);
-        let mut out = vec![0.0f32; m * n];
-        BlockedBackend.gemm_dense_acc(&a, &b, &mut out, m, k, n);
-        for i in 0..m {
-            for j in 0..n {
-                let mut acc = 0.0f32;
-                for kk in 0..k {
-                    acc += a[i * k + kk] * b[kk * n + j];
+        // The LM head contract: one output element == the scalar loop,
+        // started from the element's initial value.
+        for (m, k, n, a, b, init) in tile_cases() {
+            let mut out = init.clone();
+            BlockedBackend.gemm_dense_acc(&a, &b, &mut out, m, k, n);
+            for i in 0..m {
+                for j in 0..n {
+                    let mut acc = init[i * n + j];
+                    for kk in 0..k {
+                        acc += a[i * k + kk] * b[kk * n + j];
+                    }
+                    assert_eq!(acc.to_bits(), out[i * n + j].to_bits(), "{m}x{k}x{n} at ({i}, {j})");
                 }
-                assert_eq!(acc.to_bits(), out[i * n + j].to_bits());
             }
         }
     }

@@ -230,41 +230,89 @@ fn lane_parallel_step_matches_reference_step_bitwise() {
     }
 }
 
-/// Lane-parallel prefill (each lane prefilling its own sequences through
-/// all their positions) equals the serial prefill and the reference, on
-/// ragged prompt lengths including an empty sequence.
+/// Sequence-major, lane-parallel prefill equals the reference lockstep
+/// prefill in logits **and** caches at every thread count, from every
+/// start state: onto empty caches and extending non-empty ones, on ragged
+/// lengths with empty sequences, past `max_seq` (the position clamp, and
+/// more rows than one pass holds), on all-empty input and on one lone
+/// sequence — and three decode steps afterwards still agree.
 #[test]
 fn lane_parallel_prefill_matches_serial_prefill_bitwise() {
     let lm = lane_sized_lm();
-    let lens = [5usize, 0, 17, 1, 9, 12, 3];
-    let prompts: Vec<Vec<u32>> = lens
-        .iter()
-        .enumerate()
-        .map(|(i, &n)| (0..n).map(|t| ((i * 11 + t * 5 + 1) % 96) as u32).collect())
-        .collect();
-    let seqs: Vec<&[u32]> = prompts.iter().map(Vec::as_slice).collect();
-    let mut ref_caches: Vec<_> = seqs.iter().map(|_| lm.new_cache()).collect();
-    let ref_logits = lm.prefill_batch(&mut ref_caches, &seqs);
+    let vocab_n = lm.config().vocab;
+    assert_eq!(lm.config().max_seq, 48);
+    // Per case: the lengths of a first prefill and of a second one that
+    // extends the caches the first left behind.
+    let cases: [(&str, &[usize], &[usize]); 4] = [
+        ("ragged", &[5, 0, 17, 1, 9, 12, 3], &[4, 6, 0, 11, 2, 1, 8]),
+        ("past max_seq", &[60, 3, 50, 30], &[5, 70, 0, 19]),
+        ("all empty", &[0, 0, 0], &[0, 7, 0]),
+        ("lone sequence", &[21], &[9]),
+    ];
     let mut scratch = lm.new_scratch();
-    for threads in [1usize, 2, 4] {
-        scratch.set_pool(Pool::new(threads));
-        let tokens: usize = lens.iter().sum();
-        assert_eq!(scratch.lanes_for(seqs.len(), tokens), threads, "47 tokens split at this model size");
-        let mut caches: Vec<_> = seqs.iter().map(|_| lm.new_cache()).collect();
-        let logits = lm.prefill_batch_fused(&mut scratch, &mut caches, &seqs);
-        assert_eq!(logits.len(), seqs.len());
-        assert!(logits[1].is_empty(), "an empty sequence yields an empty row");
-        assert!(caches[1].is_empty(), "and leaves its cache untouched");
-        for (i, ((got, want), (cache, ref_cache))) in
-            logits.iter().zip(&ref_logits).zip(caches.iter().zip(&ref_caches)).enumerate()
-        {
-            assert_eq!(f32_bits(got), f32_bits(want), "threads {threads}, sequence {i}: logits");
-            assert_eq!(cache.len(), lens[i], "threads {threads}, sequence {i}: cache length");
-            assert_eq!(
-                cache_bits(&lm, cache),
-                cache_bits(&lm, ref_cache),
-                "threads {threads}, sequence {i}: cache contents"
-            );
+    for (name, first, second) in cases {
+        let rounds: Vec<Vec<Vec<u32>>> = [first, second]
+            .iter()
+            .enumerate()
+            .map(|(round, lens)| {
+                lens.iter()
+                    .enumerate()
+                    .map(|(i, &n)| (0..n).map(|t| ((round * 29 + i * 11 + t * 5 + 1) % 96) as u32).collect())
+                    .collect()
+            })
+            .collect();
+        let mut ref_caches: Vec<_> = first.iter().map(|_| lm.new_cache()).collect();
+        let ref_logits: Vec<Vec<Vec<f32>>> = rounds
+            .iter()
+            .map(|prompts| {
+                let seqs: Vec<&[u32]> = prompts.iter().map(Vec::as_slice).collect();
+                lm.prefill_batch(&mut ref_caches, &seqs)
+            })
+            .collect();
+        let toks = |step: usize| -> Vec<u32> {
+            (0..first.len()).map(|r| ((r * 13 + step * 7 + 5) % 96) as u32).collect()
+        };
+        let mut ref_decoded = ref_caches.clone();
+        let ref_steps: Vec<Vec<u32>> = (0..3)
+            .map(|step| {
+                let mut slots: Vec<_> = ref_decoded.iter_mut().collect();
+                lm.advance_batch(&mut slots, &toks(step)).iter().flat_map(|row| f32_bits(row)).collect()
+            })
+            .collect();
+        for threads in [1usize, 2, 4] {
+            scratch.set_pool(Pool::new(threads));
+            if name == "ragged" {
+                let tokens: usize = first.iter().sum();
+                assert_eq!(scratch.lanes_for(first.len(), tokens), threads, "47 tokens split at this model size");
+            }
+            let mut caches: Vec<_> = first.iter().map(|_| lm.new_cache()).collect();
+            for (round, prompts) in rounds.iter().enumerate() {
+                let seqs: Vec<&[u32]> = prompts.iter().map(Vec::as_slice).collect();
+                let logits = lm.prefill_batch_fused(&mut scratch, &mut caches, &seqs);
+                assert_eq!(logits.len(), seqs.len());
+                for (i, (got, want)) in logits.iter().zip(&ref_logits[round]).enumerate() {
+                    assert_eq!(got.is_empty(), seqs[i].is_empty(), "an empty sequence yields an empty row");
+                    assert_eq!(f32_bits(got), f32_bits(want), "{name}, threads {threads}, round {round}, sequence {i}: logits");
+                }
+            }
+            let same_caches = |caches: &[lc_rec::core::KvCache], want: &[lc_rec::core::KvCache], what: &str| {
+                for (i, (cache, ref_cache)) in caches.iter().zip(want).enumerate() {
+                    assert_eq!(cache.len(), ref_cache.len(), "{name}, threads {threads}, sequence {i}: cache length {what}");
+                    assert_eq!(
+                        cache_bits(&lm, cache),
+                        cache_bits(&lm, ref_cache),
+                        "{name}, threads {threads}, sequence {i}: cache contents {what}"
+                    );
+                }
+            };
+            same_caches(&caches, &ref_caches, "after prefill");
+            for (step, want) in ref_steps.iter().enumerate() {
+                let mut slots: Vec<_> = caches.iter_mut().collect();
+                let got = f32_bits(lm.advance_batch_fused(&mut scratch, &mut slots, &toks(step)));
+                assert_eq!(got.len(), first.len() * vocab_n);
+                assert_eq!(&got, want, "{name}, threads {threads}: decode step {step} after prefill");
+            }
+            same_caches(&caches, &ref_decoded, "after decode");
         }
     }
 }
