@@ -47,23 +47,16 @@ use std::path::{Path, PathBuf};
 pub const ENTRY_POINTS: &[(Option<&str>, &str)] = &[
     (Some("Engine"), "submit"),
     (Some("Engine"), "submit_with_deadline"),
-    (Some("Engine"), "step"),
     (Some("Engine"), "step_outcomes"),
-    (Some("Engine"), "flush"),
     (Some("Engine"), "flush_outcomes"),
     (Some("Router"), "submit"),
-    (Some("Router"), "step"),
     (Some("Router"), "step_outcomes"),
-    (Some("Router"), "flush"),
     (Some("Router"), "flush_outcomes"),
     (Some("Router"), "hot_swap"),
     (Some("Router"), "swap_catalog"),
     (Some("Ring"), "primary"),
     (Some("Ring"), "replica_cycle"),
-    (None, "constrained_beam_search"),
     (None, "constrained_beam_search_with"),
-    (None, "multi_constrained_beam_search"),
-    (None, "multi_constrained_beam_search_with"),
     (None, "multi_constrained_beam_search_scratch"),
     (Some("CausalLm"), "greedy"),
     (Some("IndexTrie"), "build"),
@@ -527,7 +520,7 @@ mod tests {
     fn reachable_unwrap_is_found_and_unreachable_is_not() {
         let src = "\
 impl Engine {
-    pub fn step(&mut self) {
+    pub fn step_outcomes(&mut self) {
         helper(self.n);
     }
 }
@@ -543,7 +536,7 @@ fn never_called() {
             r.findings.iter().filter(|f| f.rule == "panic-unwrap").collect();
         assert_eq!(unwraps.len(), 1, "{:?}", r.findings);
         assert_eq!(unwraps[0].line, 7);
-        assert!(unwraps[0].detail.contains("Engine::step"), "{}", unwraps[0].detail);
+        assert!(unwraps[0].detail.contains("Engine::step_outcomes"), "{}", unwraps[0].detail);
     }
 
     #[test]
@@ -573,7 +566,7 @@ impl Other {
     fn allow_annotation_suppresses_and_stale_allow_fails() {
         let src = format!(
             "\
-fn constrained_beam_search(xs: &[u32]) -> u32 {{
+fn constrained_beam_search_with(xs: &[u32]) -> u32 {{
     xs[0] {} lint: allow(panic, reason = \"caller guarantees non-empty\")
 }}
 fn unreached() {{
@@ -611,13 +604,13 @@ fn unreached() {{
     #[test]
     fn test_code_and_panic_message_text_do_not_count() {
         let src = "\
-fn constrained_beam_search(n: usize) -> usize {
+fn constrained_beam_search_with(n: usize) -> usize {
     n + 1
 }
 #[cfg(test)]
 mod tests {
     fn t() {
-        constrained_beam_search(0).to_string().parse::<usize>().unwrap();
+        constrained_beam_search_with(0).to_string().parse::<usize>().unwrap();
     }
 }
 ";

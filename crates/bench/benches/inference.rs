@@ -30,26 +30,36 @@ fn bench_decoding(c: &mut Criterion) {
     let prompt_tokens = model.render_prompt(&builder.seq_eval_prompt(ctx));
 
     let mut g = c.benchmark_group("decoding");
+    let lm = model.lm();
+    let mut scratch = lm.new_scratch();
+    let prompt = [prompt_tokens.as_slice()];
     // The §III-D2 comparison: one next-token computation with a warm KV
-    // cache vs recomputing the whole prefix.
+    // cache (the fused step) vs recomputing the whole prefix.
     g.bench_function("next_token_with_kv_cache", |b| {
-        let mut cache = model.lm().new_cache();
-        model.lm().prefill(&mut cache, &prompt_tokens);
+        let mut cache = lm.new_cache();
+        lm.prefill_batch_fused(&mut scratch, std::slice::from_mut(&mut cache), &prompt);
         b.iter_batched(
             || cache.clone(),
-            |mut warm| black_box(model.lm().advance(&mut warm, 5)),
+            |mut warm| {
+                let logits = lm.advance_batch_fused(&mut scratch, &mut [&mut warm], &[5]);
+                black_box(logits.len())
+            },
             criterion::BatchSize::SmallInput,
         )
     });
     g.bench_function("next_token_uncached", |b| {
         let mut with_next = prompt_tokens.clone();
         with_next.push(5);
-        b.iter(|| black_box(model.lm().logits_uncached(&with_next)))
+        b.iter(|| black_box(lm.logits_uncached(&with_next)))
     });
     g.bench_function("prompt_prefill", |b| {
         b.iter(|| {
-            let mut cache = model.lm().new_cache();
-            black_box(model.lm().prefill(&mut cache, &prompt_tokens))
+            let mut cache = lm.new_cache();
+            black_box(lm.prefill_batch_fused(
+                &mut scratch,
+                std::slice::from_mut(&mut cache),
+                &prompt,
+            ))
         })
     });
     g.finish();

@@ -684,7 +684,11 @@ pub fn serve(scale: Scale) -> ExpOutput {
             for hist in &histories {
                 engine.submit(hist, k).expect("queue sized to the load");
             }
-            let responses = engine.flush();
+            let responses: Vec<lcrec_serve::Response> = engine
+                .flush_outcomes()
+                .into_iter()
+                .filter_map(lcrec_serve::Outcome::completed)
+                .collect();
             let wall = t0.elapsed().as_secs_f64();
             let lat = responses.iter().map(|r| r.latency_s).sum::<f64>()
                 / responses.len().max(1) as f64;
@@ -751,20 +755,17 @@ pub fn serve(scale: Scale) -> ExpOutput {
 
 // ------------------------------------------------------ extra: decode
 
-/// Decode fast-path benchmark (`repro --exp decode` → `results/decode.md`):
-/// the same trie-constrained beam search driven by the autograd-graph
-/// baseline ([`lcrec_core::constrained_beam_search_graph`], a full tape
-/// re-forward per token) and by the fused KV-cached fast path
-/// ([`lcrec_core::constrained_beam_search_with`], preallocated scratch +
-/// inference-backend kernels + arena trie). The two hypothesis sets are
-/// bit-compared — the speedup must cost nothing — and a second table
-/// breaks the win down per phase (prefill, single decode step at batch 1
-/// and 8, trie lookup against the pointer-node
-/// [`PointerTrie`](lcrec_rqvae::PointerTrie)).
+/// Decode oracle check (`repro --exp decode` → `results/decode.md`): the
+/// same trie-constrained beam search driven by the autograd-graph oracle
+/// ([`lcrec_core::constrained_beam_search_graph`], a full tape re-forward
+/// per token) and by the fused KV-cached path
+/// ([`lcrec_core::constrained_beam_search_with`]), bit-compared — the fast
+/// path must never change an answer. Decode speed is the serving
+/// benchmark's job (`benchmark/`: `lm.prefill_us_per_token`,
+/// `lm.decode_us_per_row`, `trie.allowed_ns`), not this table's.
 pub fn decode(scale: Scale) -> ExpOutput {
-    use lcrec_core::{constrained_beam_search_graph, constrained_beam_search_with};
+    use lcrec_core::{constrained_beam_search_graph, constrained_beam_search_with, Hypothesis};
     use lcrec_par::Pool;
-    use lcrec_rqvae::PointerTrie;
 
     let ds = dataset(scale, "Games");
     let emb = item_embeddings(&ds);
@@ -773,14 +774,13 @@ pub fn decode(scale: Scale) -> ExpOutput {
     let (lm, vocab, trie) = (model.lm(), model.vocab(), model.trie());
     let levels = trie.levels();
     let beam = 5usize;
-    let reps = 3usize;
     let n_requests = match scale {
         Scale::Small => 16,
         Scale::Tiny => 4,
     };
     let users = ds.num_users().min(16).max(1);
-    // Short histories keep the graph baseline's O(T²)-per-token
-    // re-forwards affordable; both paths see the identical prompts.
+    // Short histories keep the graph oracle's O(T²)-per-token re-forwards
+    // affordable; both paths see the identical prompts.
     let prompts: Vec<Vec<u32>> = (0..n_requests)
         .map(|r| {
             let hist = ds.test_example(r % users).0;
@@ -792,216 +792,45 @@ pub fn decode(scale: Scale) -> ExpOutput {
         })
         .collect();
     let pool = Pool::from_env();
-
-    // --- end to end: wall time and bit-exact hypothesis sets per path.
-    let time_path = |f: &dyn Fn() -> Vec<Vec<(u32, u32)>>| -> (f64, Vec<Vec<(u32, u32)>>) {
-        let mut best = f64::INFINITY;
-        let mut bits: Vec<Vec<(u32, u32)>> = Vec::new();
-        for rep in 0..reps {
-            let t0 = std::time::Instant::now(); // lint: allow(det, reason = "decode benchmark measures wall time by design; hypothesis sets are bit-compared separately")
-            let got = f();
-            let wall = t0.elapsed().as_secs_f64();
-            if rep == 0 {
-                bits = got;
-            } else {
-                assert_eq!(bits, got, "decode must be deterministic across repetitions");
-            }
-            best = best.min(wall);
-        }
-        (best, bits)
+    let bits = |hyps: Vec<Hypothesis>| -> Vec<(u32, u32)> {
+        hyps.iter().map(|h| (h.item, h.logprob.to_bits())).collect()
     };
-    let (graph_wall, graph_bits) = time_path(&|| {
+    let graph: Vec<Vec<(u32, u32)>> = prompts
+        .iter()
+        .map(|p| bits(constrained_beam_search_graph(lm, vocab, trie, p, beam)))
+        .collect();
+    let fused = || -> Vec<Vec<(u32, u32)>> {
         prompts
             .iter()
-            .map(|p| {
-                constrained_beam_search_graph(lm, vocab, trie, p, beam)
-                    .iter()
-                    .map(|h| (h.item, h.logprob.to_bits()))
-                    .collect()
-            })
+            .map(|p| bits(constrained_beam_search_with(&pool, lm, vocab, trie, p, beam)))
             .collect()
-    });
-    let (fused_wall, fused_bits) = time_path(&|| {
-        prompts
-            .iter()
-            .map(|p| {
-                constrained_beam_search_with(&pool, lm, vocab, trie, p, beam)
-                    .iter()
-                    .map(|h| (h.item, h.logprob.to_bits()))
-                    .collect()
-            })
-            .collect()
-    });
-    let identical = graph_bits == fused_bits;
-    let gen_tokens = (n_requests * levels) as f64;
-    let e2e_rows = vec![
-        vec![
-            "graph (tape re-forward)".to_string(),
-            format!("{:.3}s", graph_wall),
-            format!("{:.1}", gen_tokens / graph_wall.max(1e-9)),
-            "1.00x".to_string(),
-            "— (baseline)".to_string(),
-        ],
+    };
+    let fused_bits = fused();
+    assert_eq!(fused_bits, fused(), "decode must be deterministic across repetitions");
+    let rows = vec![
+        vec!["graph (tape re-forward)".to_string(), "— (oracle)".to_string()],
         vec![
             "fused (KV cache + scratch)".to_string(),
-            format!("{:.3}s", fused_wall),
-            format!("{:.1}", gen_tokens / fused_wall.max(1e-9)),
-            format!("{:.2}x", graph_wall / fused_wall.max(1e-9)),
-            if identical { "yes".into() } else { "NO".into() },
-        ],
-    ];
-
-    // --- per phase: where the end-to-end win comes from.
-    let best_of = |f: &mut dyn FnMut()| -> f64 {
-        let mut best = f64::INFINITY;
-        for _ in 0..reps {
-            let t0 = std::time::Instant::now(); // lint: allow(det, reason = "decode benchmark measures wall time by design; hypothesis sets are bit-compared separately")
-            f();
-            best = best.min(t0.elapsed().as_secs_f64());
-        }
-        best
-    };
-    let mut scratch = lm.new_scratch();
-    // Prefill: one whole-prompt pass per request.
-    let graph_prefill = best_of(&mut || {
-        for p in &prompts {
-            std::hint::black_box(lm.logits_uncached(p));
-        }
-    }) / n_requests as f64;
-    let fused_prefill = best_of(&mut || {
-        for p in &prompts {
-            let mut cache = lm.new_cache();
-            std::hint::black_box(lm.prefill_batch_fused(
-                &mut scratch,
-                std::slice::from_mut(&mut cache),
-                &[p],
-            ));
-        }
-    }) / n_requests as f64;
-    // One decode step at batch b: the fused path advances b cached slots
-    // in one fused pass; the graph path re-forwards b full sequences.
-    let first = prompts.first().cloned().unwrap_or_default();
-    let steps = (lm.config().max_seq.saturating_sub(first.len() + 1)).clamp(1, 8);
-    let step_tok = *first.last().unwrap_or(&0);
-    let mut step_time = |batch: usize| -> (f64, f64) {
-        let mut proto = lm.new_cache();
-        lm.prefill_batch_fused(&mut scratch, std::slice::from_mut(&mut proto), &[&first]);
-        let fused = best_of(&mut || {
-            let mut caches: Vec<_> = (0..batch).map(|_| proto.clone()).collect();
-            let toks = vec![step_tok; batch];
-            for _ in 0..steps {
-                let mut slots: Vec<_> = caches.iter_mut().collect();
-                std::hint::black_box(lm.advance_batch_fused(&mut scratch, &mut slots, &toks));
-            }
-        }) / steps as f64;
-        let graph = best_of(&mut || {
-            let mut seq = first.clone();
-            for _ in 0..steps {
-                seq.push(step_tok);
-                for _ in 0..batch {
-                    std::hint::black_box(lm.logits_uncached(&seq));
-                }
-            }
-        }) / steps as f64;
-        (graph, fused)
-    };
-    let (graph_b1, fused_b1) = step_time(1);
-    let (graph_b8, fused_b8) = step_time(8);
-    // Trie lookups: every legal prefix of every length, many rounds.
-    let pointer = PointerTrie::build(vocab.indices());
-    let mut prefixes: Vec<Vec<u16>> = vec![Vec::new()];
-    let mut frontier = vec![Vec::new()];
-    for _ in 0..levels {
-        let mut next = Vec::new();
-        for p in &frontier {
-            for &c in trie.allowed_slice(p) {
-                let mut q = p.clone();
-                q.push(c);
-                next.push(q);
-            }
-        }
-        prefixes.extend(next.iter().cloned());
-        frontier = next;
-    }
-    let rounds = 200usize;
-    let lookups = (rounds * prefixes.len()).max(1) as f64;
-    let mut arena_sum = 0usize;
-    let arena_ns = best_of(&mut || {
-        arena_sum = 0;
-        for _ in 0..rounds {
-            for p in &prefixes {
-                arena_sum += std::hint::black_box(trie.allowed_slice(p)).len();
-            }
-        }
-    }) * 1e9
-        / lookups;
-    let mut pointer_sum = 0usize;
-    let pointer_ns = best_of(&mut || {
-        pointer_sum = 0;
-        for _ in 0..rounds {
-            for p in &prefixes {
-                pointer_sum += std::hint::black_box(pointer.allowed(p)).len();
-            }
-        }
-    }) * 1e9
-        / lookups;
-    assert_eq!(arena_sum, pointer_sum, "arena and pointer tries must agree");
-
-    let phase_rows = vec![
-        vec![
-            "prefill (per prompt)".to_string(),
-            format!("{:.2}ms", graph_prefill * 1e3),
-            format!("{:.2}ms", fused_prefill * 1e3),
-            format!("{:.1}x", graph_prefill / fused_prefill.max(1e-12)),
-        ],
-        vec![
-            "one decode step, batch 1".to_string(),
-            format!("{:.2}ms", graph_b1 * 1e3),
-            format!("{:.2}ms", fused_b1 * 1e3),
-            format!("{:.1}x", graph_b1 / fused_b1.max(1e-12)),
-        ],
-        vec![
-            "one decode step, batch 8".to_string(),
-            format!("{:.2}ms", graph_b8 * 1e3),
-            format!("{:.2}ms", fused_b8 * 1e3),
-            format!("{:.1}x", graph_b8 / fused_b8.max(1e-12)),
-        ],
-        vec![
-            "trie lookup (per prefix)".to_string(),
-            format!("{pointer_ns:.0}ns (pointer)"),
-            format!("{arena_ns:.0}ns (arena)"),
-            format!("{:.1}x", pointer_ns / arena_ns.max(1e-3)),
+            if graph == fused_bits { "yes".into() } else { "NO".into() },
         ],
     ];
 
     let md = format!(
-        "## Extra — constrained-decode fast path (Games, beam {beam}, {levels} levels)\n\n\
+        "## Extra — constrained-decode oracle check (Games, beam {beam}, {levels} levels)\n\n\
          {n_requests} prompts decoded end-to-end by the two decode drivers.\n\
          `graph` re-runs the full autograd forward over the whole sequence\n\
          for every token (no KV cache, fresh tape nodes per step); `fused`\n\
          is the production path — KV-cached steps through preallocated\n\
          scratch buffers, `{backend}` inference-backend kernels, arena-trie\n\
-         lookups, and exact top-k pre-pruning. Best of {reps} repetitions;\n\
-         `tok/s` counts generated index tokens ({levels} per request).\n\
-         `bit-identical` compares every item **and** every log-probability\n\
-         bit against the graph baseline — the fast path must be a pure\n\
-         speedup, never an answer change.\n\n{e2e}\n\n\
-         ### Where the time goes\n\n\
-         Per-phase timings for the same model (batch = simultaneous beam\n\
-         candidates in one weight pass; the graph column runs the batch\n\
-         sequentially because the tape path has no batched decode):\n\n{phases}\n\n\
-         Scale caveat: this LM is tiny (fully cache-resident), so these\n\
-         ratios *understate* the fast path's advantage at real model sizes\n\
-         — the graph baseline's per-token cost grows with the square of\n\
-         sequence length and its allocation traffic grows with parameter\n\
-         count, while the fused path's working set stays the KV cache plus\n\
-         one scratch set. See docs/PERFORMANCE.md for the full story.\n",
+         lookups, and exact top-k pre-pruning. `bit-identical` compares\n\
+         every item **and** every log-probability bit against the graph\n\
+         oracle — the fast path must never change an answer.\n\n\
+         Decode speed is measured by the serving benchmark (`benchmark/`,\n\
+         see its README), per layer under replayed traffic:\n\
+         `lm.prefill_us_per_token`, `lm.decode_us_per_row` and\n\
+         `trie.allowed_ns`.\n\n{}",
+        markdown_table(&["path", "bit-identical"], &rows),
         backend = lcrec_tensor::active_backend().name(),
-        e2e = markdown_table(
-            &["path", "wall", "tok/s", "speedup", "bit-identical"],
-            &e2e_rows
-        ),
-        phases = markdown_table(&["phase", "graph / pointer", "fused / arena", "ratio"], &phase_rows)
     );
     ExpOutput::text(md)
 }
@@ -1361,7 +1190,11 @@ pub fn scale_tiers(scale: Scale, tiers: &[ScaleTier]) -> ExpOutput {
             for hist in &histories {
                 engine.submit(hist, k).expect("queue sized to the load");
             }
-            let responses = engine.flush();
+            let responses: Vec<lcrec_serve::Response> = engine
+                .flush_outcomes()
+                .into_iter()
+                .filter_map(lcrec_serve::Outcome::completed)
+                .collect();
             let wall = t0.elapsed().as_secs_f64();
             let mut lats: Vec<f64> = responses.iter().map(|r| r.latency_s).collect();
             lats.sort_by(f64::total_cmp);
@@ -1497,8 +1330,9 @@ pub fn fleet(scale: Scale, tiers: &[ScaleTier], shard_counts: &[usize]) -> ExpOu
                 engine.submit(hist, k).expect("queue sized to the load");
             }
             engine
-                .flush()
-                .iter()
+                .flush_outcomes()
+                .into_iter()
+                .filter_map(lcrec_serve::Outcome::completed)
                 .map(|r| r.ranked.iter().map(|h| (h.item, h.logprob.to_bits())).collect())
                 .collect()
         };
@@ -1668,8 +1502,9 @@ pub fn evolve(scale: Scale) -> ExpOutput {
             engine.submit(hist, k).expect("queue sized to the load");
         }
         engine
-            .flush()
-            .iter()
+            .flush_outcomes()
+            .into_iter()
+            .filter_map(lcrec_serve::Outcome::completed)
             .map(|r| r.ranked.iter().map(|h| (h.item, h.logprob.to_bits())).collect())
             .collect()
     };

@@ -8,9 +8,10 @@
 //! model sizes and exactly reproduces the paper's KV-cache optimization.
 //!
 //! There is **one** search loop, [`multi_constrained_beam_search_scratch`],
-//! generic over how many prompts it decodes at once; every other entry
-//! point is a thin wrapper (a single request is its `n = 1` case). Per
-//! level it
+//! generic over how many prompts it decodes at once, over a caller-owned
+//! [`DecodeScratch`] and an explicit [`lcrec_par::Pool`];
+//! [`constrained_beam_search_with`] is its `n = 1` convenience door with a
+//! scratch of its own. Per level it
 //!
 //! 1. scores every `(request, beam)` pair, fanned out over an
 //!    [`lcrec_par::Pool`] and reassembled in pair order, with **top-k
@@ -33,12 +34,11 @@
 //! batch-mates, the batch size or the thread count (see DESIGN.md
 //! "Threading model"; `tests/serving.rs` and `tests/decode.rs` pin it).
 //!
-//! [`constrained_beam_search_graph`] is the pre-KV-cache baseline: the
-//! same search driven by full autograd-graph re-forwards
-//! ([`CausalLm::logits_uncached`]) instead of cached fused steps. It
-//! exists as the benchmark "before" ( `repro --exp decode`,
-//! `results/decode.md`) and as the independent oracle the fast path is
-//! bit-compared against (`tests/decode.rs`).
+//! [`constrained_beam_search_graph`] is the pre-KV-cache oracle: the same
+//! search driven by full autograd-graph re-forwards
+//! ([`CausalLm::logits_uncached`]) instead of cached fused steps, which
+//! the fast path is bit-compared against (`repro --exp decode`,
+//! `tests/decode.rs`).
 
 use crate::lm::{CausalLm, DecodeScratch, KvCache};
 use crate::vocab::ExtendedVocab;
@@ -162,29 +162,18 @@ fn finalize(trie: &IndexTrie, beams: Vec<(Vec<u16>, f32)>) -> Vec<Hypothesis> {
     out
 }
 
-/// Runs constrained beam search and returns up to `beam_size` items ranked
-/// by log-probability. `prompt` must be non-empty. Parallelism comes from
-/// the ambient [`Pool::from_env`] (`LCREC_THREADS`); see
-/// [`constrained_beam_search_with`] for an explicit pool.
-pub fn constrained_beam_search(
-    lm: &CausalLm,
-    vocab: &ExtendedVocab,
-    trie: &IndexTrie,
-    prompt: &[u32],
-    beam_size: usize,
-) -> Vec<Hypothesis> {
-    constrained_beam_search_with(&Pool::from_env(), lm, vocab, trie, prompt, beam_size)
-}
-
-/// [`constrained_beam_search`] with an explicit thread pool: the `n = 1`
-/// case of [`multi_constrained_beam_search_scratch`]. Output is
-/// bit-identical (item ids **and** log-probabilities) at every thread
-/// count: candidate lists are flattened in beam order, the pruning sort is
-/// stable, and the fused transformer step computes every row on its own,
-/// so no first-come-first-served effect can leak into scores. A zero
-/// `beam_size` returns nothing rather than panicking (the serving layer
-/// rejects `k = 0` with a typed error before it gets here; this keeps the
-/// library call total for direct users too).
+/// Runs constrained beam search for one prompt on `pool` and returns up to
+/// `beam_size` items ranked by log-probability: the `n = 1` case of
+/// [`multi_constrained_beam_search_scratch`], with a scratch of its own.
+/// (Callers without a pool of their own pass [`Pool::from_env`], i.e.
+/// `LCREC_THREADS`.) Output is bit-identical (item ids **and**
+/// log-probabilities) at every thread count: candidate lists are flattened
+/// in beam order, the pruning sort is stable, and the fused transformer
+/// step computes every row on its own, so no first-come-first-served
+/// effect can leak into scores. A zero `beam_size` or an empty `prompt`
+/// returns nothing rather than panicking (the serving layer rejects
+/// `k = 0` with a typed error before it gets here; this keeps the library
+/// call total for direct users too).
 pub fn constrained_beam_search_with(
     pool: &Pool,
     lm: &CausalLm,
@@ -199,15 +188,15 @@ pub fn constrained_beam_search_with(
         .unwrap_or_default()
 }
 
-/// The graph-backed baseline decode: the same constrained search, driven
+/// The graph-backed oracle decode: the same constrained search, driven
 /// by a full autograd-graph forward over the whole sequence at every step
 /// ([`CausalLm::logits_uncached`]) instead of KV-cached fused steps — no
 /// cache, fresh `Graph` node allocations per token, O(T²) attention work.
-/// This is the paper's §III-D2 "before": the decode benchmark
-/// (`repro --exp decode`) measures the fast path against it, and
-/// `tests/decode.rs` pins that both return **bit-identical** hypotheses
+/// This is the paper's §III-D2 "before": `repro --exp decode` and
+/// `tests/decode.rs` pin that both return **bit-identical** hypotheses
 /// (the two paths share `score_beam`/`prune`/`finalize`, and the graph
-/// forward is bit-identical to the cached step).
+/// forward is bit-identical to the cached step), an empty prompt
+/// included: it yields no hypotheses on either path.
 ///
 /// `prompt` must be short enough that prompt + `levels` index tokens fit
 /// the LM context window, as every in-contract caller (prompt rendering
@@ -266,43 +255,16 @@ pub fn constrained_beam_search_graph(
     finalize(trie, beams.into_iter().map(|b| (b.prefix, b.logprob)).collect())
 }
 
-/// Decodes several prompts at once with a uniform beam width; see
-/// [`multi_constrained_beam_search_with`]. Parallelism comes from the
-/// ambient [`Pool::from_env`] (`LCREC_THREADS`).
-pub fn multi_constrained_beam_search(
-    lm: &CausalLm,
-    vocab: &ExtendedVocab,
-    trie: &IndexTrie,
-    prompts: &[Vec<u32>],
-    beam_size: usize,
-) -> Vec<Vec<Hypothesis>> {
-    let widths = vec![beam_size; prompts.len()];
-    multi_constrained_beam_search_with(&Pool::from_env(), lm, vocab, trie, prompts, &widths)
-}
-
-/// Multi-request trie-constrained beam search: decodes `prompts[i]` at
-/// width `beam_sizes[i]`, all at once, and returns one ranked hypothesis
-/// list per prompt (in prompt order). A zero width yields an empty list
-/// for that prompt without disturbing the others. See
-/// [`multi_constrained_beam_search_scratch`], which this calls with a
-/// scratch of its own.
-pub fn multi_constrained_beam_search_with(
-    pool: &Pool,
-    lm: &CausalLm,
-    vocab: &ExtendedVocab,
-    trie: &IndexTrie,
-    prompts: &[Vec<u32>],
-    beam_sizes: &[usize],
-) -> Vec<Vec<Hypothesis>> {
-    let mut scratch = lm.new_scratch();
-    multi_constrained_beam_search_scratch(pool, lm, vocab, trie, prompts, beam_sizes, &mut scratch)
-}
-
-/// The search loop every entry point runs (module docs describe a level),
-/// against a caller-owned [`DecodeScratch`], so a long-lived caller (the
-/// serving engine) reuses one set of decode buffers — and one cached
-/// LM-head transpose — across every batch instead of re-allocating per
-/// dispatch. The scratch must have been created from `lm` by
+/// Multi-request trie-constrained beam search — the one search loop
+/// (module docs describe a level): decodes `prompts[i]` at width
+/// `beam_sizes[i]`, all at once, and returns one ranked hypothesis list
+/// per prompt (in prompt order). A zero width yields an empty list for
+/// that prompt without disturbing the others.
+///
+/// It runs against a caller-owned [`DecodeScratch`], so a long-lived
+/// caller (the serving engine) reuses one set of decode buffers — and one
+/// cached LM-head transpose — across every batch instead of re-allocating
+/// per dispatch. The scratch must have been created from `lm` by
 /// [`CausalLm::new_scratch`] after its last parameter update. Results are
 /// bit-identical whichever scratch is passed; the scratch holds no decode
 /// state between calls.
@@ -444,7 +406,7 @@ mod tests {
     fn all_results_are_real_items() {
         let (lm, vocab, trie) = setup();
         let prompt = vocab.render(&[lcrec_data::Seg::Text("recommend something".into())]);
-        let hyps = constrained_beam_search(&lm, &vocab, &trie, &prompt, 4);
+        let hyps = constrained_beam_search_with(&Pool::from_env(), &lm, &vocab, &trie, &prompt, 4);
         assert_eq!(hyps.len(), 4, "beam must fill with the 4 existing items");
         let mut items: Vec<u32> = hyps.iter().map(|h| h.item).collect();
         items.sort_unstable();
@@ -456,7 +418,7 @@ mod tests {
     fn results_are_sorted_by_logprob() {
         let (lm, vocab, trie) = setup();
         let prompt = vocab.render(&[lcrec_data::Seg::Text("recommend".into())]);
-        let hyps = constrained_beam_search(&lm, &vocab, &trie, &prompt, 4);
+        let hyps = constrained_beam_search_with(&Pool::from_env(), &lm, &vocab, &trie, &prompt, 4);
         for w in hyps.windows(2) {
             assert!(w[0].logprob >= w[1].logprob);
         }
@@ -468,7 +430,7 @@ mod tests {
     fn beam_one_is_greedy_over_legal_tokens() {
         let (lm, vocab, trie) = setup();
         let prompt = vocab.render(&[lcrec_data::Seg::Text("something".into())]);
-        let hyps = constrained_beam_search(&lm, &vocab, &trie, &prompt, 1);
+        let hyps = constrained_beam_search_with(&Pool::from_env(), &lm, &vocab, &trie, &prompt, 1);
         assert_eq!(hyps.len(), 1);
     }
 
@@ -480,9 +442,11 @@ mod tests {
             .map(|t| vocab.render(&[lcrec_data::Seg::Text((*t).into())]))
             .collect();
         let widths = [4usize, 2, 3];
+        let mut scratch = lm.new_scratch();
         for pool in [Pool::serial(), Pool::new(4)] {
-            let batched =
-                multi_constrained_beam_search_with(&pool, &lm, &vocab, &trie, &prompts, &widths);
+            let batched = multi_constrained_beam_search_scratch(
+                &pool, &lm, &vocab, &trie, &prompts, &widths, &mut scratch,
+            );
             assert_eq!(batched.len(), prompts.len());
             for ((prompt, &w), got) in prompts.iter().zip(&widths).zip(&batched) {
                 let solo = constrained_beam_search_with(&pool, &lm, &vocab, &trie, prompt, w);
@@ -496,47 +460,40 @@ mod tests {
     }
 
     #[test]
-    fn multi_request_handles_empty_and_single_inputs() {
+    fn empty_inputs_return_nothing() {
         let (lm, vocab, trie) = setup();
-        assert!(multi_constrained_beam_search(&lm, &vocab, &trie, &[], 4).is_empty());
-        let prompt = vocab.render(&[lcrec_data::Seg::Text("recommend".into())]);
-        let one = multi_constrained_beam_search(&lm, &vocab, &trie, &[prompt.clone()], 4);
-        let solo = constrained_beam_search(&lm, &vocab, &trie, &prompt, 4);
-        assert_eq!(one.len(), 1);
-        assert_eq!(one[0].len(), solo.len());
-        for (a, b) in one[0].iter().zip(&solo) {
-            assert_eq!((a.item, a.logprob.to_bits()), (b.item, b.logprob.to_bits()));
-        }
+        let mut scratch = lm.new_scratch();
+        let none: &[Vec<u32>] = &[];
+        let pool = Pool::from_env();
+        let got = multi_constrained_beam_search_scratch(
+            &pool, &lm, &vocab, &trie, none, &[], &mut scratch,
+        );
+        assert!(got.is_empty());
+        assert!(constrained_beam_search_with(&pool, &lm, &vocab, &trie, &[], 4).is_empty());
     }
 
     #[test]
     fn zero_width_degrades_to_empty_without_panicking() {
         let (lm, vocab, trie) = setup();
         let prompt = vocab.render(&[lcrec_data::Seg::Text("recommend".into())]);
-        assert!(constrained_beam_search(&lm, &vocab, &trie, &prompt, 0).is_empty());
+        let pool = Pool::from_env();
+        assert!(constrained_beam_search_with(&pool, &lm, &vocab, &trie, &prompt, 0).is_empty());
+        let mut scratch = lm.new_scratch();
+        let pair = [prompt.clone(), prompt.clone()];
         // All widths zero: the batched step is skipped entirely.
-        let all_zero = multi_constrained_beam_search_with(
-            &Pool::new(1),
-            &lm,
-            &vocab,
-            &trie,
-            &[prompt.clone(), prompt.clone()],
-            &[0, 0],
-        );
+        let mut search = |widths: &[usize]| {
+            multi_constrained_beam_search_scratch(
+                &pool, &lm, &vocab, &trie, &pair, widths, &mut scratch,
+            )
+        };
+        let all_zero = search(&[0, 0]);
         assert_eq!(all_zero.len(), 2);
         assert!(all_zero.iter().all(Vec::is_empty));
         // A mixed batch: the zero-width slot is empty, the live slot is
         // bit-identical to decoding alone.
-        let mixed = multi_constrained_beam_search_with(
-            &Pool::new(1),
-            &lm,
-            &vocab,
-            &trie,
-            &[prompt.clone(), prompt.clone()],
-            &[0, 4],
-        );
+        let mixed = search(&[0, 4]);
         assert!(mixed[0].is_empty());
-        let solo = constrained_beam_search(&lm, &vocab, &trie, &prompt, 4);
+        let solo = constrained_beam_search_with(&pool, &lm, &vocab, &trie, &prompt, 4);
         assert_eq!(mixed[1].len(), solo.len());
         for (a, b) in mixed[1].iter().zip(&solo) {
             assert_eq!((a.item, a.logprob.to_bits()), (b.item, b.logprob.to_bits()));
@@ -551,8 +508,8 @@ mod tests {
         // the best of width-4 against width-3 (still exhaustive at level 1).
         let (lm, vocab, trie) = setup();
         let prompt = vocab.render(&[lcrec_data::Seg::Text("recommend".into())]);
-        let big = constrained_beam_search(&lm, &vocab, &trie, &prompt, 4);
-        let small = constrained_beam_search(&lm, &vocab, &trie, &prompt, 3);
+        let big = constrained_beam_search_with(&Pool::from_env(), &lm, &vocab, &trie, &prompt, 4);
+        let small = constrained_beam_search_with(&Pool::from_env(), &lm, &vocab, &trie, &prompt, 3);
         assert_eq!(big[0].item, small[0].item);
     }
 }

@@ -2,11 +2,12 @@
 //! `lcrec-rqvae`), an extended-vocabulary causal LM, multi-task alignment
 //! tuning (§III-C) and trie-constrained beam search for full ranking.
 
-use crate::beam::{constrained_beam_search, Hypothesis};
+use crate::beam::{constrained_beam_search_with, Hypothesis};
 use crate::lm::{train_lm_epochs, CausalLm, LmConfig, LmExample, LmTrainConfig};
 use crate::vocab::ExtendedVocab;
 use lcrec_data::{Dataset, InstructionBuilder, Seg, TaskSet};
 use lcrec_eval::Ranker;
+use lcrec_par::Pool;
 use lcrec_rqvae::{IndexTrie, ItemIndices};
 use lcrec_tensor::Tensor;
 use lcrec_text::Vocab;
@@ -189,7 +190,8 @@ impl LcRec {
     /// Full-ranking recommendation for an explicit prompt.
     pub fn recommend_prompt(&self, segs: &[Seg], beam: usize) -> Vec<Hypothesis> {
         let prompt = self.render_prompt(segs);
-        constrained_beam_search(&self.lm, &self.vocab, &self.trie, &prompt, beam)
+        let pool = Pool::from_env();
+        constrained_beam_search_with(&pool, &self.lm, &self.vocab, &self.trie, &prompt, beam)
     }
 
     /// Greedy text generation for a prompt (case studies, Figure 5/6).

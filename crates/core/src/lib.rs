@@ -20,9 +20,8 @@ pub mod vocab;
 pub mod zeroshot;
 
 pub use beam::{
-    constrained_beam_search, constrained_beam_search_graph, constrained_beam_search_with,
-    multi_constrained_beam_search, multi_constrained_beam_search_scratch,
-    multi_constrained_beam_search_with, Hypothesis,
+    constrained_beam_search_graph, constrained_beam_search_with,
+    multi_constrained_beam_search_scratch, Hypothesis,
 };
 pub use lcrec::{LcRec, LcRecConfig, LcRecRanker};
 pub use lm::{

@@ -10,12 +10,16 @@
 //! * **training** — define-by-run autograd graphs with teacher forcing and
 //!   response-only loss (Eqn. 7);
 //! * **inference** — a raw, allocation-light path with a per-sequence
-//!   [`KvCache`], the optimization the paper highlights in §III-D2. The
-//!   single-token step comes in two shapes sharing one implementation:
-//!   [`CausalLm::advance`] (one sequence) and [`CausalLm::advance_batch`]
-//!   (many sequences through one weight pass, each with its own cache
-//!   slot). Per-row arithmetic is identical, so batched serving
-//!   (`lcrec-serve`) is bit-identical to sequential decoding.
+//!   [`KvCache`], the optimization the paper highlights in §III-D2. There
+//!   is one fused forward over a caller-owned [`DecodeScratch`], entered
+//!   two ways: [`CausalLm::prefill_batch_fused`] (whole prompts) and
+//!   [`CausalLm::advance_batch_fused`] (one token into each of many cache
+//!   slots). A row never reads another row, so batched serving
+//!   (`lcrec-serve`) is bit-identical to decoding one request alone.
+//!
+//! [`CausalLm::advance_batch`] is the unfused reference step the fused
+//! forward is bit-compared against in tests; it is not a serving entry
+//! point.
 
 use lcrec_par::Pool;
 use lcrec_tensor::{
@@ -24,12 +28,6 @@ use lcrec_tensor::{
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::borrow::BorrowMut;
-
-thread_local! {
-    /// True while `prefill` drives `advance`, so the shared single-token
-    /// path can split its tokens/sec accounting into prefill vs decode.
-    static IN_PREFILL: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
-}
 
 /// LM hyperparameters.
 #[derive(Clone, Debug)]
@@ -152,8 +150,8 @@ impl KvCache {
 /// on a buffer set of its own (`docs/PERFORMANCE.md`, "Lanes"). Rows never
 /// interact inside a step, so the logits and caches are bit-identical at
 /// any lane count. [`CausalLm::new_scratch`] takes [`Pool::from_env`]; the
-/// beam-search entry points install the pool they were called with for the
-/// duration of the call ([`DecodeScratch::set_pool`]), so a search given
+/// beam search installs the pool it was called with for the duration of
+/// the call ([`DecodeScratch::set_pool`]), so a search given
 /// [`Pool::serial`] spawns nothing.
 ///
 /// # Lifecycle
@@ -164,7 +162,8 @@ impl KvCache {
 /// so a scratch must not outlive a parameter update (create a fresh one
 /// after further training). The serving engine holds one scratch for its
 /// whole lifetime — it borrows the model immutably, so the parameters
-/// cannot change underneath it.
+/// cannot change underneath it. [`CausalLm::sequence_logprob`] and
+/// [`CausalLm::greedy`] make a scratch of their own per call.
 #[derive(Clone, Debug)]
 pub struct DecodeScratch {
     /// `tok_emb` transposed to `[dim, vocab]` for the tied-head matmul.
@@ -422,35 +421,23 @@ impl CausalLm {
         }
     }
 
-    /// Feeds one token through the raw inference path, appending to the
-    /// cache and returning the logits for the next position.
+    /// The unfused **reference** step, kept as the semantics anchor the
+    /// fused forward is bit-compared against (`tests/decode.rs`,
+    /// `tests/properties.rs`); it is not a serving entry point and records
+    /// no observability. Feeds one token into each of `b` independent
+    /// sequences: `caches[i]` receives `tokens[i]`, and slots may sit at
+    /// different positions. Returns one logit row per slot, in slot order.
+    /// A prompt is referenced by feeding it one token at a time.
     ///
-    /// This *is* [`CausalLm::advance_batch`] with a single slot, so the
-    /// one-request path and the batched serving path share every
-    /// instruction — there is no separate arithmetic to drift apart.
-    pub fn advance(&self, cache: &mut KvCache, token: u32) -> Vec<f32> {
-        let mut slots = [cache];
-        self.advance_batch(&mut slots, &[token]).pop().unwrap_or_default()
-    }
-
-    /// Feeds one token into each of `b` independent sequences through a
-    /// **single weight pass**: `caches[i]` receives `tokens[i]`, and slots
-    /// may sit at different positions. Returns one logit row per slot, in
-    /// slot order.
-    ///
-    /// The per-row arithmetic (RMS norm, attention over the slot's own
-    /// cache, gated FFN, tied-head logits) is exactly the batch-1 path —
-    /// the batched matmul accumulates strictly row by row — so batched and
-    /// sequential decoding produce bit-identical logits. That contract is
-    /// what lets the serving engine (`lcrec-serve`) batch requests without
-    /// changing any ranking; `tests/serving.rs` pins it.
+    /// Every intermediate is allocated fresh and each row's arithmetic
+    /// (RMS norm, attention over the slot's own cache, gated FFN, tied-head
+    /// logits as scalar dot products) reads no other row.
     pub fn advance_batch(&self, caches: &mut [&mut KvCache], tokens: &[u32]) -> Vec<Vec<f32>> {
         assert_eq!(caches.len(), tokens.len(), "one token per cache slot");
         let b = caches.len();
         if b == 0 {
             return Vec::new();
         }
-        let obs_watch = lcrec_obs::stopwatch();
         let d = self.cfg.dim;
         let h = self.cfg.heads;
         let dh = d / h;
@@ -474,23 +461,23 @@ impl CausalLm {
             let scale = 1.0 / (dh as f32).sqrt();
             let mut ctx = vec![0.0f32; b * d];
             for (r, cache) in caches.iter_mut().enumerate() {
-                cache.k[l].extend_from_slice(&k[r * d..(r + 1) * d]); // lint: allow(panic, reason = "l enumerates self.blocks, which sized every cache; batmat returns b*d values and r < b")
-                cache.v[l].extend_from_slice(&v[r * d..(r + 1) * d]); // lint: allow(panic, reason = "l enumerates self.blocks, which sized every cache; batmat returns b*d values and r < b")
+                cache.k[l].extend_from_slice(&k[r * d..(r + 1) * d]);
+                cache.v[l].extend_from_slice(&v[r * d..(r + 1) * d]);
                 let t = cache.len + 1;
                 for head in 0..h {
-                    let qh = &q[r * d + head * dh..r * d + (head + 1) * dh]; // lint: allow(panic, reason = "head < h and h * dh == d, so the slice stays inside row r of the b*d buffer")
+                    let qh = &q[r * d + head * dh..r * d + (head + 1) * dh];
                     // Scores over all of this slot's cached positions.
                     let mut scores = Vec::with_capacity(t);
                     for ti in 0..t {
-                        let kh = &cache.k[l][ti * d + head * dh..ti * d + (head + 1) * dh]; // lint: allow(panic, reason = "cache.k[l] holds t rows of d values after the extend above; ti < t")
+                        let kh = &cache.k[l][ti * d + head * dh..ti * d + (head + 1) * dh];
                         let dot: f32 = qh.iter().zip(kh).map(|(qv, kv)| qv * kv).sum();
                         scores.push(dot * scale);
                     }
                     let mut probs = vec![0.0f32; t];
                     softmax_rows(&scores, &mut probs, t);
-                    let out = &mut ctx[r * d + head * dh..r * d + (head + 1) * dh]; // lint: allow(panic, reason = "ctx was allocated with b*d zeros; r < b and head < h with h * dh == d")
+                    let out = &mut ctx[r * d + head * dh..r * d + (head + 1) * dh];
                     for (ti, &p) in probs.iter().enumerate() {
-                        let vh = &cache.v[l][ti * d + head * dh..ti * d + (head + 1) * dh]; // lint: allow(panic, reason = "cache.v[l] holds t rows of d values after the extend above; ti < t")
+                        let vh = &cache.v[l][ti * d + head * dh..ti * d + (head + 1) * dh];
                         for (o, &vv) in out.iter_mut().zip(vh) {
                             *o += p * vv;
                         }
@@ -530,72 +517,7 @@ impl CausalLm {
             }
             out.push(logits);
         }
-        if obs_watch.running() {
-            // Prefill steps and decode steps share this path; split the
-            // tokens/sec accounting by the phase flag prefill() sets.
-            if IN_PREFILL.with(|c| c.get()) {
-                lcrec_obs::counter_add("lm.prefill_tokens", b as u64);
-                obs_watch.stop("lm.prefill_s");
-            } else {
-                lcrec_obs::counter_add("lm.decode_tokens", b as u64);
-                obs_watch.stop("lm.decode_s");
-            }
-        }
         out
-    }
-
-    /// Runs all `tokens` through the cache; returns the logits after the
-    /// last token.
-    pub fn prefill(&self, cache: &mut KvCache, tokens: &[u32]) -> Vec<f32> {
-        assert!(!tokens.is_empty(), "prefill needs at least one token");
-        let was = IN_PREFILL.with(|c| c.replace(true));
-        let mut logits = Vec::new();
-        for &t in tokens {
-            logits = self.advance(cache, t);
-        }
-        IN_PREFILL.with(|c| c.set(was));
-        logits
-    }
-
-    /// Batched [`CausalLm::prefill`], the reference the sequence-major
-    /// [`CausalLm::prefill_batch_fused`] is bit-compared against: each
-    /// sequence runs through its own cache in position lockstep — step `t`
-    /// feeds token `t` of every sequence that still has one.
-    /// Ragged lengths simply drop finished slots from later steps, so each
-    /// slot sees exactly the arithmetic of a solo prefill (bit-identical
-    /// logits and cache contents).
-    ///
-    /// Returns the logits after each sequence's last token, in slot order.
-    /// An empty sequence yields an empty logit row (its cache untouched).
-    pub fn prefill_batch(&self, caches: &mut [KvCache], seqs: &[&[u32]]) -> Vec<Vec<f32>> {
-        assert_eq!(caches.len(), seqs.len(), "one cache per sequence");
-        let was = IN_PREFILL.with(|c| c.replace(true));
-        let longest = seqs.iter().map(|s| s.len()).max().unwrap_or(0);
-        let mut outs = vec![Vec::new(); seqs.len()];
-        for t in 0..longest {
-            let mut slots: Vec<&mut KvCache> = Vec::new();
-            let mut toks: Vec<u32> = Vec::new();
-            // Live slots this step, each tagged with its output row and
-            // whether `t` is its final token.
-            let mut live: Vec<(usize, bool)> = Vec::new();
-            for (i, (cache, seq)) in caches.iter_mut().zip(seqs).enumerate() {
-                if let Some(&tok) = seq.get(t) {
-                    slots.push(cache);
-                    toks.push(tok);
-                    live.push((i, t + 1 == seq.len()));
-                }
-            }
-            let logits = self.advance_batch(&mut slots, &toks);
-            for (row, &(i, last)) in logits.into_iter().zip(&live) {
-                if last {
-                    if let Some(out) = outs.get_mut(i) {
-                        *out = row;
-                    }
-                }
-            }
-        }
-        IN_PREFILL.with(|c| c.set(was));
-        outs
     }
 
     /// Allocates a [`DecodeScratch`] for this model's current parameters,
@@ -613,12 +535,11 @@ impl CausalLm {
         }
     }
 
-    /// The fused fast-path variant of [`CausalLm::advance_batch`]: one
-    /// token into each of `b` cache slots, with every intermediate living
-    /// in `scratch` (no per-row heap allocation after warm-up) and the
-    /// matmuls routed through the process-wide
-    /// [`lcrec_tensor::InferenceBackend`]. The slots are cut into
-    /// contiguous lanes over the scratch's pool (see [`DecodeScratch`]);
+    /// The fused decode step: one token into each of `b` cache slots,
+    /// with every intermediate living in `scratch` (no per-row heap
+    /// allocation after warm-up) and the matmuls routed through the
+    /// process-wide [`lcrec_tensor::InferenceBackend`]. The slots are cut
+    /// into contiguous lanes over the scratch's pool (see [`DecodeScratch`]);
     /// each lane runs the whole step for its rows — one weight pass per
     /// lane — and writes its own slice of the packed logits.
     ///
@@ -800,16 +721,17 @@ impl CausalLm {
         backend.gemm_dense_acc(&scratch.xf, head_t, logits, ended, d, self.cfg.vocab);
     }
 
-    /// The fused fast-path variant of [`CausalLm::prefill_batch`],
-    /// **sequence-major**: the sequences are cut into contiguous lanes of
+    /// The fused prefill, **sequence-major**: `caches[i]` receives all of
+    /// `seqs[i]`. The sequences are cut into contiguous lanes of
     /// near-equal token count over the scratch's pool (one spawn per
     /// prefill), and each lane feeds **its own** sequences through the fused
     /// forward whole — every prompt token a GEMM row, the weights walked
     /// once per pass instead of once per position, the head run on each
     /// sequence's last token only. Returns the logits after each
     /// sequence's last token, in slot order (empty rows for empty
-    /// sequences). Logits and caches are bit-identical to the reference
-    /// prefill at any lane count: a row's arithmetic never depends on its
+    /// sequences). Logits and caches are bit-identical, at any lane count,
+    /// to feeding each sequence one token at a time through
+    /// [`CausalLm::advance_batch`]: a row's arithmetic never depends on its
     /// batch-mates, and attention reads the same cache values.
     pub fn prefill_batch_fused(
         &self,
@@ -873,20 +795,34 @@ impl CausalLm {
         lane.scratch.logits = logits;
     }
 
+    /// One sequence through the fused forward on a scratch of its own:
+    /// `prefix` prefilled into a fresh cache, and the logits after it
+    /// (empty for an empty prefix). A single sequence is one part, so the
+    /// prefill and every step after it run inline.
+    fn prefill_one(&self, prefix: &[u32]) -> (DecodeScratch, KvCache, Vec<f32>) {
+        let mut scratch = self.new_scratch();
+        let mut cache = self.new_cache();
+        let logits = self
+            .prefill_batch_fused(&mut scratch, std::slice::from_mut(&mut cache), &[prefix])
+            .pop()
+            .unwrap_or_default();
+        (scratch, cache, logits)
+    }
+
     /// Log-probability of `continuation` given `prefix` (sums per-token
     /// log-softmax scores). Used for pairwise scoring (Table V).
     pub fn sequence_logprob(&self, prefix: &[u32], continuation: &[u32]) -> f32 {
-        let mut cache = self.new_cache();
-        let mut logits = self.prefill(&mut cache, prefix);
+        let (mut scratch, mut cache, mut logits) = self.prefill_one(prefix);
         let mut total = 0.0;
         for &tok in continuation {
             total += log_softmax_pick(&logits, tok);
-            logits = self.advance(&mut cache, tok);
+            logits = self.advance_batch_fused(&mut scratch, &mut [&mut cache], &[tok]).to_vec();
         }
         total
     }
 
-    /// Greedy decoding until `stop` returns true or `max_new` tokens.
+    /// Greedy decoding until `stop` returns true or `max_new` tokens. An
+    /// empty `prefix` has no next-token distribution and decodes nothing.
     ///
     /// # Examples
     ///
@@ -899,10 +835,9 @@ impl CausalLm {
     /// assert!(out.iter().all(|&t| (t as usize) < lm.config().vocab));
     /// ```
     pub fn greedy(&self, prefix: &[u32], max_new: usize, stop: impl Fn(u32) -> bool) -> Vec<u32> {
-        let mut cache = self.new_cache();
-        let mut logits = self.prefill(&mut cache, prefix);
+        let (mut scratch, mut cache, mut logits) = self.prefill_one(prefix);
         let mut out = Vec::new();
-        for _ in 0..max_new {
+        while out.len() < max_new && !logits.is_empty() {
             let next = argmax(&logits) as u32;
             if stop(next) {
                 break;
@@ -911,15 +846,20 @@ impl CausalLm {
             if cache.len >= self.cfg.max_seq - 1 {
                 break;
             }
-            logits = self.advance(&mut cache, next);
+            logits = self.advance_batch_fused(&mut scratch, &mut [&mut cache], &[next]).to_vec();
         }
         out
     }
 
     /// Full-graph logits for a single sequence without a cache — the
-    /// reference path the KV cache is benchmarked against (§III-D2).
+    /// independent oracle the cached decode is compared against
+    /// (§III-D2). An empty sequence yields an empty row, as
+    /// [`CausalLm::prefill_batch_fused`] does.
     pub fn logits_uncached(&self, tokens: &[u32]) -> Vec<f32> {
         let t = tokens.len().min(self.cfg.max_seq);
+        if t == 0 {
+            return Vec::new();
+        }
         let toks = &tokens[tokens.len() - t..];
         let mut g = Graph::inference();
         let logits = self.forward_logits(&mut g, toks, 1, t);
@@ -1141,12 +1081,19 @@ mod tests {
     fn cached_and_uncached_logits_agree() {
         let lm = CausalLm::new(LmConfig::test(30));
         let tokens = [1u32, 7, 3, 9, 2];
-        let mut cache = lm.new_cache();
-        let cached = lm.prefill(&mut cache, &tokens);
+        let (_, _, cached) = lm.prefill_one(&tokens);
         let uncached = lm.logits_uncached(&tokens);
+        assert_eq!(cached.len(), uncached.len());
         for (a, b) in cached.iter().zip(&uncached) {
             assert!((a - b).abs() < 1e-3, "cached {a} vs graph {b}");
         }
+    }
+
+    #[test]
+    fn empty_prefix_has_no_logits_and_decodes_nothing() {
+        let lm = CausalLm::new(LmConfig::test(10));
+        assert!(lm.logits_uncached(&[]).is_empty());
+        assert!(lm.greedy(&[], 5, |_| false).is_empty());
     }
 
     #[test]
@@ -1192,40 +1139,6 @@ mod tests {
         let cfg = LmTrainConfig { lr: 1e-3, epochs: 50, batch: 4, warmup: 2, max_steps: Some(3), seed: 3 };
         let losses = train_lm(&mut lm, &examples, &cfg);
         assert_eq!(losses.len(), 1, "training must stop within the first epoch");
-    }
-
-    #[test]
-    fn batched_prefill_is_bit_identical_to_sequential() {
-        let lm = CausalLm::new(LmConfig::test(30));
-        let seqs: [&[u32]; 4] = [&[1, 7, 3], &[2, 4, 9, 5, 6], &[8], &[]];
-        // Sequential reference: each sequence through its own solo prefill.
-        let mut solo: Vec<Vec<f32>> = Vec::new();
-        let mut solo_caches: Vec<KvCache> = Vec::new();
-        for s in seqs {
-            let mut cache = lm.new_cache();
-            solo.push(if s.is_empty() { Vec::new() } else { lm.prefill(&mut cache, s) });
-            solo_caches.push(cache);
-        }
-        // Batched: ragged lengths in one lockstep pass.
-        let mut caches: Vec<KvCache> = (0..seqs.len()).map(|_| lm.new_cache()).collect();
-        let batched = lm.prefill_batch(&mut caches, &seqs);
-        for ((a, b), (ca, cb)) in batched.iter().zip(&solo).zip(caches.iter().zip(&solo_caches)) {
-            assert_eq!(a.len(), b.len());
-            for (x, y) in a.iter().zip(b) {
-                assert_eq!(x.to_bits(), y.to_bits(), "logits must match bit for bit");
-            }
-            assert_eq!(ca.len(), cb.len(), "cache positions must agree");
-        }
-        // Continue decoding from the batched caches: still bit-identical.
-        let next: Vec<u32> = vec![3, 1, 2];
-        let mut slots: Vec<&mut KvCache> = caches.iter_mut().take(3).collect();
-        let step = lm.advance_batch(&mut slots, &next);
-        for (i, row) in step.iter().enumerate() {
-            let reference = lm.advance(&mut solo_caches[i], next[i]);
-            for (x, y) in row.iter().zip(&reference) {
-                assert_eq!(x.to_bits(), y.to_bits());
-            }
-        }
     }
 
     #[test]

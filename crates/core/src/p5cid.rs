@@ -5,11 +5,12 @@
 //! over co-occurrence embeddings feeding the same causal-LM substrate as
 //! LC-Rec, trained only on the sequential task with a minimal prompt.
 
-use crate::beam::constrained_beam_search;
+use crate::beam::constrained_beam_search_with;
 use crate::lm::{train_lm, CausalLm, LmConfig, LmExample, LmTrainConfig};
 use crate::vocab::ExtendedVocab;
 use lcrec_data::{Dataset, Seg};
 use lcrec_eval::Ranker;
+use lcrec_par::Pool;
 use lcrec_rqvae::kmeans::kmeans;
 use lcrec_rqvae::{IndexTrie, ItemIndices};
 use lcrec_tensor::Tensor;
@@ -230,7 +231,8 @@ impl P5Cid {
     pub fn recommend(&self, history: &[u32], beam: usize) -> Vec<(u32, f32)> {
         let (tokens, plen) = self.example(history, 0);
         let prompt = &tokens[..plen];
-        constrained_beam_search(&self.lm, &self.vocab, &self.trie, prompt, beam)
+        let pool = Pool::from_env();
+        constrained_beam_search_with(&pool, &self.lm, &self.vocab, &self.trie, prompt, beam)
             .into_iter()
             .map(|h| (h.item, h.logprob))
             .collect()

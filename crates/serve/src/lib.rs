@@ -4,7 +4,7 @@
 //! history → top-K item indices) are admitted into a bounded queue, grouped
 //! by a max-batch-size / max-wait policy, and decoded **together** — one
 //! weight pass per transformer step shared across every request's prefill
-//! tokens and beam candidates ([`lcrec_core::multi_constrained_beam_search_with`]).
+//! tokens and beam candidates ([`lcrec_core::multi_constrained_beam_search_scratch`]).
 //!
 //! Design contract (see `docs/SERVING.md` for the full lifecycle):
 //!
@@ -259,8 +259,9 @@ struct Pending {
 ///
 /// Borrows a trained model's parts (LM, extended vocabulary, index trie) —
 /// the engine adds no model state of its own, only the admission queue.
-/// Requests go in via [`Engine::submit`]; batches come out via
-/// [`Engine::step`] (policy-gated) or [`Engine::flush`] (drain everything).
+/// Requests go in via [`Engine::submit`]; batches come out as typed
+/// [`Outcome`]s via [`Engine::step_outcomes`] (policy-gated) or
+/// [`Engine::flush_outcomes`] (drain everything).
 ///
 /// # Examples
 ///
@@ -282,10 +283,11 @@ struct Pending {
 ///
 /// let mut engine = Engine::new(&lm, &vocab, &trie, ServeConfig::default());
 /// let id = engine.submit(&[0, 2], 3).expect("queue has room");
-/// let responses = engine.flush();
-/// assert_eq!(responses.len(), 1);
-/// assert_eq!(responses[0].id, id);
-/// assert_eq!(responses[0].ranked.len(), 3, "top-3 of the 4 items");
+/// let outcomes = engine.flush_outcomes();
+/// assert_eq!(outcomes.len(), 1);
+/// assert_eq!(outcomes[0].id(), id);
+/// let response = outcomes[0].clone().completed().expect("no deadline, no faults");
+/// assert_eq!(response.ranked.len(), 3, "top-3 of the 4 items");
 /// ```
 #[derive(Debug)]
 pub struct Engine<'a> {
@@ -451,18 +453,12 @@ impl<'a> Engine<'a> {
     }
 
     /// Dispatches **one** batch (the oldest `max_batch` requests) if the
-    /// policy says so; returns the completed responses, or an empty vector
+    /// policy says so and returns every request's typed [`Outcome`] —
+    /// completions and timeouts — in admission order, or an empty vector
     /// when [`Engine::ready`] is false. Drive this from a serving loop;
-    /// tests and offline use can call [`Engine::flush`] instead.
-    ///
-    /// Timed-out requests are dropped from this view; use
-    /// [`Engine::step_outcomes`] for full typed-outcome accounting.
-    pub fn step(&mut self) -> Vec<Response> {
-        self.step_outcomes().into_iter().filter_map(Outcome::completed).collect()
-    }
-
-    /// Like [`Engine::step`], but returns **every** request's typed
-    /// [`Outcome`] — completions and timeouts — in admission order.
+    /// tests and offline use can call [`Engine::flush_outcomes`] instead.
+    /// A caller that wants only the responses filters with
+    /// [`Outcome::completed`].
     pub fn step_outcomes(&mut self) -> Vec<Outcome> {
         if !self.ready() {
             return Vec::new();
@@ -473,16 +469,7 @@ impl<'a> Engine<'a> {
     }
 
     /// Drains the whole queue in [`ServeConfig::max_batch`]-sized batches
-    /// (ignoring the wait policy) and returns all responses in admission
-    /// order.
-    ///
-    /// Timed-out requests are dropped from this view; use
-    /// [`Engine::flush_outcomes`] for full typed-outcome accounting.
-    pub fn flush(&mut self) -> Vec<Response> {
-        self.flush_outcomes().into_iter().filter_map(Outcome::completed).collect()
-    }
-
-    /// Like [`Engine::flush`], but returns **every** request's typed
+    /// (ignoring the wait policy) and returns every request's typed
     /// [`Outcome`] — completions and timeouts — in admission order.
     pub fn flush_outcomes(&mut self) -> Vec<Outcome> {
         let mut out = Vec::new();
@@ -627,6 +614,10 @@ mod tests {
         (lm, vocab, trie)
     }
 
+    fn completed(outcomes: Vec<Outcome>) -> Vec<Response> {
+        outcomes.into_iter().filter_map(Outcome::completed).collect()
+    }
+
     #[test]
     fn queue_full_rejects_with_capacity() {
         let (lm, vocab, trie) = setup();
@@ -638,7 +629,7 @@ mod tests {
         assert_eq!(err, Reject::QueueFull { capacity: 2 });
         assert!(err.to_string().contains("capacity 2"));
         // Draining the queue frees capacity again.
-        engine.flush();
+        engine.flush_outcomes();
         assert!(engine.submit(&[2], 1).is_ok());
     }
 
@@ -651,10 +642,10 @@ mod tests {
         let mut engine = Engine::new(&lm, &vocab, &trie, cfg);
         engine.submit(&[0], 2).expect("admitted");
         assert!(!engine.ready(), "partial batch must wait");
-        assert!(engine.step().is_empty());
+        assert!(engine.step_outcomes().is_empty());
         engine.submit(&[1], 2).expect("admitted");
         assert!(engine.ready(), "full batch dispatches");
-        let out = engine.step();
+        let out = completed(engine.step_outcomes());
         assert_eq!(out.len(), 2);
         assert_eq!(out[0].batch_size, 2);
         assert_eq!(engine.queue_len(), 0);
@@ -663,7 +654,7 @@ mod tests {
         let mut engine = Engine::new(&lm, &vocab, &trie, cfg);
         engine.submit(&[0], 1).expect("admitted");
         assert!(engine.ready());
-        assert_eq!(engine.step().len(), 1);
+        assert_eq!(completed(engine.step_outcomes()).len(), 1);
     }
 
     #[test]
@@ -673,7 +664,7 @@ mod tests {
         let mut engine = Engine::new(&lm, &vocab, &trie, cfg);
         let ids: Vec<u64> =
             (0..5).map(|i| engine.submit(&[i as u32 % 4], 2).expect("admitted")).collect();
-        let out = engine.flush();
+        let out = completed(engine.flush_outcomes());
         assert_eq!(out.iter().map(|r| r.id).collect::<Vec<_>>(), ids);
         // 5 requests at max_batch 2 → batches of 2, 2, 1.
         assert_eq!(out.iter().map(|r| r.batch_size).collect::<Vec<_>>(), vec![2, 2, 2, 2, 1]);
@@ -686,7 +677,7 @@ mod tests {
         let mut engine = Engine::new(&lm, &vocab, &trie, ServeConfig::default());
         engine.submit(&[0, 1], 2).expect("admitted");
         engine.submit(&[0, 1], 4).expect("admitted");
-        let out = engine.flush();
+        let out = completed(engine.flush_outcomes());
         assert_eq!(out[0].ranked.len(), 2);
         assert_eq!(out[1].ranked.len(), 4, "all 4 items exist");
         // Same history → the k=2 list is a prefix of the k=4 list.

@@ -449,9 +449,9 @@ impl<'a> Router<'a> {
     ///     Err(RouterReject::InvalidK { k: 0 })
     /// ));
     /// let ticket = router.submit(7, &[0, 1], 2).expect("fleet has room");
-    /// let responses = router.flush();
-    /// assert_eq!(responses.len(), 1);
-    /// assert_eq!(responses[0].id, ticket);
+    /// let outcomes = router.flush_outcomes();
+    /// assert_eq!(outcomes.len(), 1);
+    /// assert_eq!(outcomes[0].id(), ticket);
     /// ```
     pub fn submit(
         &mut self,
@@ -503,16 +503,10 @@ impl<'a> Router<'a> {
 
     /// Steps every shard once — draining engines are flushed to
     /// completion, active engines dispatch at most one policy-gated batch
-    /// — and returns the completed responses. Timed-out requests are
-    /// dropped from this view; use [`Router::step_outcomes`] for full
-    /// typed-outcome accounting.
-    pub fn step(&mut self) -> Vec<Response> {
-        self.step_outcomes().into_iter().filter_map(RouterOutcome::completed).collect()
-    }
-
-    /// Like [`Router::step`], but returns **every** terminal typed
-    /// [`RouterOutcome`] this step produced. A timeout that still has
-    /// hedge budget is re-dispatched internally instead of surfacing.
+    /// — and returns **every** terminal typed [`RouterOutcome`] this step
+    /// produced. A timeout that still has hedge budget is re-dispatched
+    /// internally instead of surfacing. A caller that wants only the
+    /// responses filters with [`RouterOutcome::completed`].
     pub fn step_outcomes(&mut self) -> Vec<RouterOutcome> {
         let mut out = Vec::new();
         self.sweep(false, &mut out);
@@ -520,15 +514,8 @@ impl<'a> Router<'a> {
     }
 
     /// Drains every queue in the fleet — including hedged re-dispatches —
-    /// and returns all completed responses. Timed-out requests are
-    /// dropped from this view; use [`Router::flush_outcomes`] for full
-    /// typed-outcome accounting.
-    pub fn flush(&mut self) -> Vec<Response> {
-        self.flush_outcomes().into_iter().filter_map(RouterOutcome::completed).collect()
-    }
-
-    /// Like [`Router::flush`], but returns **every** request's terminal
-    /// typed [`RouterOutcome`]. Loops until no engine holds queued work,
+    /// and returns **every** request's terminal typed [`RouterOutcome`].
+    /// Loops until no engine holds queued work,
     /// so hedged re-dispatches triggered by this flush also resolve; the
     /// loop terminates because every re-dispatch consumes bounded hedge
     /// budget.

@@ -101,7 +101,7 @@ impl Tensor {
     /// have is a caller bug, not a recoverable condition.
     #[inline]
     pub fn dim(&self, i: usize) -> usize {
-        self.shape[i] // lint: allow(panic, reason = "documented contract: out-of-range dimension is a caller bug; decode-path calls use literal 0/1 on 2-D weights")
+        self.shape[i]
     }
 
     /// For a tensor treated as a matrix: the number of rows, i.e. the product

@@ -68,7 +68,7 @@ pub use lcrec_text as text;
 /// The most common imports in one place.
 pub mod prelude {
     pub use lcrec_core::{
-        constrained_beam_search, CausalLm, LcRec, LcRecConfig, LcRecRanker, LmConfig, P5Cid,
+        constrained_beam_search_with, CausalLm, LcRec, LcRecConfig, LcRecRanker, LmConfig, P5Cid,
         P5CidConfig, TextSimilarityScorer, Tiger, TigerConfig,
     };
     pub use lcrec_data::{Dataset, DatasetConfig, InstructionBuilder, Seg, Task, TaskSet};

@@ -4,10 +4,10 @@
 //! size and thread count, with the arena trie node-for-node equivalent to
 //! the pointer-node reference implementation on randomized ID sets.
 
+use lc_rec::core::lm::log_softmax_pick;
 use lc_rec::core::{
     constrained_beam_search_graph, constrained_beam_search_with,
-    multi_constrained_beam_search_scratch, multi_constrained_beam_search_with, CausalLm,
-    ExtendedVocab, LmConfig,
+    multi_constrained_beam_search_scratch, CausalLm, ExtendedVocab, KvCache, LmConfig,
 };
 use lc_rec::data::Seg;
 use lc_rec::par::Pool;
@@ -65,28 +65,50 @@ fn bits(hyps: &[lc_rec::core::Hypothesis]) -> Vec<(u32, u32)> {
     hyps.iter().map(|h| (h.item, h.logprob.to_bits())).collect()
 }
 
+/// One reference step for one cache: the unfused `advance_batch` on a
+/// single slot.
+fn reference_step(lm: &CausalLm, cache: &mut KvCache, token: u32) -> Vec<f32> {
+    lm.advance_batch(&mut [cache], &[token]).pop().expect("one logit row per slot")
+}
+
+/// The reference prefill: each sequence fed one token at a time through
+/// [`reference_step`] into its own cache. Returns the logits after each
+/// sequence's last token (an empty row for an empty sequence).
+fn reference_prefill(lm: &CausalLm, caches: &mut [KvCache], seqs: &[&[u32]]) -> Vec<Vec<f32>> {
+    caches
+        .iter_mut()
+        .zip(seqs)
+        .map(|(cache, seq)| seq.iter().fold(Vec::new(), |_, &tok| reference_step(lm, cache, tok)))
+        .collect()
+}
+
 /// The tentpole contract: fused batched decode equals the graph-backed
-/// baseline bit for bit at every batch size × thread count combination.
+/// baseline bit for bit at every batch size × thread count combination —
+/// an empty prompt included, which yields no hypotheses on either path.
 #[test]
 fn fused_decode_matches_graph_baseline_at_every_batch_and_thread_count() {
     let (lm, vocab, trie) = setup();
-    let all_prompts = prompts(&vocab, 8);
+    let mut all_prompts = prompts(&vocab, 7);
+    all_prompts.insert(2, Vec::new());
     let width = 4usize;
     let oracle: Vec<Vec<(u32, u32)>> = all_prompts
         .iter()
         .map(|p| bits(&constrained_beam_search_graph(&lm, &vocab, &trie, p, width)))
         .collect();
+    assert!(oracle[2].is_empty(), "an empty prompt has nothing to decode");
+    let mut scratch = lm.new_scratch();
     for batch in [1usize, 3, 8] {
         for threads in [1usize, 4] {
             let pool = Pool::new(threads);
             let widths = vec![width; batch];
-            let got = multi_constrained_beam_search_with(
+            let got = multi_constrained_beam_search_scratch(
                 &pool,
                 &lm,
                 &vocab,
                 &trie,
                 &all_prompts[..batch],
                 &widths,
+                &mut scratch,
             );
             assert_eq!(got.len(), batch);
             for (pi, ranked) in got.iter().enumerate() {
@@ -106,9 +128,9 @@ fn fused_decode_matches_graph_baseline_at_every_batch_and_thread_count() {
     }
 }
 
-/// The fused transformer step must produce bit-identical logits to the
-/// reference (`advance_batch`) step for every slot, across batch sizes
-/// and successive steps on the same caches.
+/// The fused prefill and step must produce bit-identical logits to the
+/// reference loop for every slot, across batch sizes and successive steps
+/// on the same caches.
 #[test]
 fn fused_advance_matches_reference_advance_bitwise() {
     let (lm, vocab, _trie) = setup();
@@ -117,7 +139,7 @@ fn fused_advance_matches_reference_advance_bitwise() {
     for batch in [1usize, 3, 8] {
         let seqs: Vec<&[u32]> = all_prompts[..batch].iter().map(Vec::as_slice).collect();
         let mut ref_caches: Vec<_> = (0..batch).map(|_| lm.new_cache()).collect();
-        let ref_first = lm.prefill_batch(&mut ref_caches, &seqs);
+        let ref_first = reference_prefill(&lm, &mut ref_caches, &seqs);
         let mut fused_caches: Vec<_> = (0..batch).map(|_| lm.new_cache()).collect();
         let fused_first = lm.prefill_batch_fused(&mut scratch, &mut fused_caches, &seqs);
         for (a, b) in ref_first.iter().zip(&fused_first) {
@@ -193,8 +215,9 @@ fn lane_parallel_step_matches_reference_step_bitwise() {
         let mut ref_caches: Vec<_> = (0..rows)
             .map(|r| {
                 let mut cache = lm.new_cache();
-                let prefix: Vec<u32> = (0..r % 5 + 1).map(|t| ((r * 7 + t * 3) % 96) as u32).collect();
-                lm.prefill(&mut cache, &prefix);
+                for t in 0..r % 5 + 1 {
+                    reference_step(&lm, &mut cache, ((r * 7 + t * 3) % 96) as u32);
+                }
                 cache
             })
             .collect();
@@ -230,12 +253,12 @@ fn lane_parallel_step_matches_reference_step_bitwise() {
     }
 }
 
-/// Sequence-major, lane-parallel prefill equals the reference lockstep
-/// prefill in logits **and** caches at every thread count, from every
-/// start state: onto empty caches and extending non-empty ones, on ragged
-/// lengths with empty sequences, past `max_seq` (the position clamp, and
-/// more rows than one pass holds), on all-empty input and on one lone
-/// sequence — and three decode steps afterwards still agree.
+/// Sequence-major, lane-parallel prefill equals the token-at-a-time
+/// reference prefill in logits **and** caches at every thread count, from
+/// every start state: onto empty caches and extending non-empty ones, on
+/// ragged lengths with empty sequences, past `max_seq` (the position
+/// clamp, and more rows than one pass holds), on all-empty input and on
+/// one lone sequence — and three decode steps afterwards still agree.
 #[test]
 fn lane_parallel_prefill_matches_serial_prefill_bitwise() {
     let lm = lane_sized_lm();
@@ -266,7 +289,7 @@ fn lane_parallel_prefill_matches_serial_prefill_bitwise() {
             .iter()
             .map(|prompts| {
                 let seqs: Vec<&[u32]> = prompts.iter().map(Vec::as_slice).collect();
-                lm.prefill_batch(&mut ref_caches, &seqs)
+                reference_prefill(&lm, &mut ref_caches, &seqs)
             })
             .collect();
         let toks = |step: usize| -> Vec<u32> {
@@ -317,6 +340,48 @@ fn lane_parallel_prefill_matches_serial_prefill_bitwise() {
     }
 }
 
+/// `greedy` and `sequence_logprob` run the fused forward on a scratch of
+/// their own; called from pools of 1, 2 and 4 workers they equal the
+/// reference loop — the same greedy tokens, the same log-probability bits.
+#[test]
+fn greedy_and_sequence_logprob_match_the_reference_loop() {
+    let lm = lane_sized_lm();
+    let prompts: Vec<Vec<u32>> = (0..6)
+        .map(|i| (0..3 + i * 4).map(|t| ((i * 17 + t * 5 + 1) % 96) as u32).collect())
+        .collect();
+    let argmax = |row: &[f32]| {
+        // The first maximal index, as `greedy` breaks ties.
+        let first_max =
+            |(bi, bv): (usize, f32), (i, &v): (usize, &f32)| if v > bv { (i, v) } else { (bi, bv) };
+        row.iter().enumerate().fold((0, f32::NEG_INFINITY), first_max).0 as u32
+    };
+    // Reference: greedy-decode 8 tokens, summing their log-probabilities.
+    let want: Vec<(Vec<u32>, u32)> = prompts
+        .iter()
+        .map(|p| {
+            let mut cache = lm.new_cache();
+            let mut logits =
+                reference_prefill(&lm, std::slice::from_mut(&mut cache), &[p.as_slice()]).remove(0);
+            let (mut tokens, mut logprob) = (Vec::new(), 0.0f32);
+            for _ in 0..8 {
+                let next = argmax(&logits);
+                logprob += log_softmax_pick(&logits, next);
+                tokens.push(next);
+                logits = reference_step(&lm, &mut cache, next);
+            }
+            (tokens, logprob.to_bits())
+        })
+        .collect();
+    for threads in [1usize, 2, 4] {
+        let got = Pool::new(threads).map(&prompts, |_, p| {
+            let tokens = lm.greedy(p, 8, |_| false);
+            let logprob = lm.sequence_logprob(p, &tokens).to_bits();
+            (tokens, logprob)
+        });
+        assert_eq!(got, want, "threads {threads}: greedy tokens and sequence_logprob bits");
+    }
+}
+
 /// Reusing one scratch across many decodes (the serving engine's pattern)
 /// must give the same bits as a fresh scratch per call.
 #[test]
@@ -325,8 +390,15 @@ fn scratch_reuse_is_bit_deterministic() {
     let all_prompts = prompts(&vocab, 4);
     let widths = vec![3usize; all_prompts.len()];
     let pool = Pool::new(2);
-    let fresh =
-        multi_constrained_beam_search_with(&pool, &lm, &vocab, &trie, &all_prompts, &widths);
+    let fresh = multi_constrained_beam_search_scratch(
+        &pool,
+        &lm,
+        &vocab,
+        &trie,
+        &all_prompts,
+        &widths,
+        &mut lm.new_scratch(),
+    );
     let mut scratch = lm.new_scratch();
     for round in 0..3 {
         let reused = multi_constrained_beam_search_scratch(

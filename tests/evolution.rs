@@ -68,7 +68,8 @@ fn direct_bits(
     for (_, hist) in reqs {
         engine.submit(hist, k).expect("queue sized to the load");
     }
-    let mut responses = engine.flush();
+    let mut responses: Vec<Response> =
+        engine.flush_outcomes().into_iter().filter_map(Outcome::completed).collect();
     responses.sort_by_key(|r| r.id);
     responses.iter().map(|r| ranked_bits(&r.ranked)).collect()
 }

@@ -94,8 +94,12 @@ fn one_shard_router_matches_bare_engine_bit_for_bit() {
     for (_, hist) in &reqs {
         engine.submit(hist, 5).expect("queue sized to the load");
     }
-    let direct: Vec<Vec<(u32, u32)>> =
-        engine.flush().iter().map(|r| ranked_bits(&r.ranked)).collect();
+    let direct: Vec<Vec<(u32, u32)>> = engine
+        .flush_outcomes()
+        .into_iter()
+        .filter_map(Outcome::completed)
+        .map(|r| ranked_bits(&r.ranked))
+        .collect();
 
     let routed = route_bits(&lm, &vocab, &trie, &reqs, 1, None);
     assert_eq!(routed, direct, "a 1-shard router must be a bare engine, bit for bit");
@@ -182,7 +186,12 @@ fn hot_swap_completes_in_flight_on_old_snapshot_with_zero_drops() {
         for (_, hist) in reqs {
             engine.submit(hist, 5).expect("queue sized to the load");
         }
-        engine.flush().iter().map(|r| ranked_bits(&r.ranked)).collect()
+        engine
+            .flush_outcomes()
+            .into_iter()
+            .filter_map(Outcome::completed)
+            .map(|r| ranked_bits(&r.ranked))
+            .collect()
     };
     let old_bits = direct(&lm_old, pre);
     let new_bits = direct(&lm_new, post);

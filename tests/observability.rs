@@ -7,7 +7,7 @@
 
 use lc_rec::core::{
     constrained_beam_search_graph, constrained_beam_search_with,
-    multi_constrained_beam_search_with, CausalLm, ExtendedVocab, LmConfig,
+    multi_constrained_beam_search_scratch, CausalLm, ExtendedVocab, LmConfig,
 };
 use lc_rec::obs;
 use lc_rec::prelude::*;
@@ -183,13 +183,14 @@ fn last_level_is_not_advanced_and_rankings_match_the_graph_baseline() {
     for threads in [1usize, 4] {
         obs::set_enabled(true);
         obs::reset();
-        let got = multi_constrained_beam_search_with(
+        let got = multi_constrained_beam_search_scratch(
             &Pool::new(threads),
             &lm,
             &vocab,
             &trie,
             &prompts,
             &widths,
+            &mut lm.new_scratch(),
         );
         let snap = obs::snapshot();
         obs::set_enabled(false);

@@ -162,7 +162,8 @@ fn beam_log_z(logits: &[f32]) -> f32 {
 #[test]
 fn beam_matches_exhaustive_oracle_when_width_covers_all_items() {
     use lc_rec::core::{
-        constrained_beam_search, constrained_beam_search_graph, CausalLm, ExtendedVocab, LmConfig,
+        constrained_beam_search_graph, constrained_beam_search_with, CausalLm, ExtendedVocab,
+        KvCache, LmConfig,
     };
 
     let mut rng = StdRng::seed_from_u64(0x0BEA_04AC);
@@ -177,19 +178,23 @@ fn beam_matches_exhaustive_oracle_when_width_covers_all_items() {
         let lm = CausalLm::new(lm_cfg);
         let prompt = vocab.render(&[Seg::Text("recommend".into())]);
 
-        // Oracle: score every stored item by full-sequence teacher forcing,
+        // Oracle: score every stored item by full-sequence teacher forcing
+        // through the unfused reference step, one token at a time,
         // replaying the beam's restricted log-softmax arithmetic verbatim.
+        let step = |cache: &mut KvCache, tok: u32| {
+            lm.advance_batch(&mut [cache], &[tok]).pop().expect("one logit row per slot")
+        };
         let mut oracle: Vec<(u32, f32)> = Vec::with_capacity(n_items);
         for item in 0..n_items as u32 {
             let item_codes: Vec<u16> = vocab.indices().of(item).to_vec();
             let mut cache = lm.new_cache();
-            let mut logits = lm.prefill(&mut cache, &prompt);
+            let mut logits = prompt.iter().fold(Vec::new(), |_, &tok| step(&mut cache, tok));
             let mut lp = 0.0f32;
             for (level, &code) in item_codes.iter().enumerate() {
                 let lz = beam_log_z(&logits);
                 let tok = vocab.index_token(level, code);
                 lp = lp + logits[tok as usize] - lz;
-                logits = lm.advance(&mut cache, tok);
+                logits = step(&mut cache, tok);
             }
             oracle.push((item, lp));
         }
@@ -197,7 +202,8 @@ fn beam_matches_exhaustive_oracle_when_width_covers_all_items() {
         // Beam wide enough to hold every item: level-wise truncation can
         // never prune (candidates per level ≤ |items|), so the search is
         // exhaustive and must reproduce the oracle bit for bit.
-        let hyps = constrained_beam_search(&lm, &vocab, &trie, &prompt, n_items);
+        let pool = Pool::from_env();
+        let hyps = constrained_beam_search_with(&pool, &lm, &vocab, &trie, &prompt, n_items);
         assert_eq!(hyps.len(), n_items, "case {case}: beam must surface every item");
         // The graph-backed baseline drives the same search through full
         // tape re-forwards; it must agree with the fused path bit for bit.

@@ -18,7 +18,7 @@ use lc_rec::core::{CausalLm, ExtendedVocab, LmConfig};
 use lc_rec::data::{ScaleConfig, ScaleError, ZipfSampler};
 use lc_rec::par::Pool;
 use lc_rec::rqvae::{IndexTrie, ItemIndices, PointerTrie};
-use lc_rec::serve::{Engine, ServeConfig};
+use lc_rec::serve::{Engine, Outcome, ServeConfig};
 use lc_rec::tensor::serialize::{
     load_params, load_params_file, params_sealed_len, save_params, save_params_file,
 };
@@ -353,8 +353,9 @@ fn small_tier_serving_is_bit_identical_across_batch_and_threads() {
             engine.submit(hist, 5).expect("queue sized to the load");
         }
         engine
-            .flush()
-            .iter()
+            .flush_outcomes()
+            .into_iter()
+            .filter_map(Outcome::completed)
             .map(|r| r.ranked.iter().map(|h| (h.item, h.logprob.to_bits())).collect())
             .collect()
     };

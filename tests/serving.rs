@@ -44,6 +44,11 @@ fn ranked_bits(ranked: &[lc_rec::core::Hypothesis]) -> Vec<(u32, u32)> {
     ranked.iter().map(|h| (h.item, h.logprob.to_bits())).collect()
 }
 
+/// The completed responses among `outcomes`, in admission order.
+fn completed(outcomes: Vec<Outcome>) -> Vec<Response> {
+    outcomes.into_iter().filter_map(Outcome::completed).collect()
+}
+
 #[test]
 fn engine_matches_direct_beam_search_bit_for_bit() {
     let (ds, model) = tiny_model();
@@ -54,7 +59,7 @@ fn engine_matches_direct_beam_search_bit_for_bit() {
     for (hist, k) in &requests {
         engine.submit(hist, *k).expect("queue has room");
     }
-    let responses = engine.flush();
+    let responses = completed(engine.flush_outcomes());
     assert_eq!(responses.len(), requests.len());
 
     // The reference path: render the same prompt, run single-request
@@ -97,8 +102,8 @@ fn batch_size_never_changes_answers() {
         for (hist, k) in &requests {
             engine.submit(hist, *k).expect("queue has room");
         }
-        let responses = engine.flush();
-        // flush preserves admission order, so rows line up across runs.
+        let responses = completed(engine.flush_outcomes());
+        // flush_outcomes preserves admission order, so rows line up across runs.
         responses.iter().map(|r| ranked_bits(&r.ranked)).collect()
     };
 
@@ -119,7 +124,7 @@ fn empty_history_is_served() {
     let (_ds, model) = tiny_model();
     let mut engine = Engine::for_model(&model, ServeConfig::default());
     engine.submit(&[], 3).expect("queue has room");
-    let out = engine.flush();
+    let out = completed(engine.flush_outcomes());
     assert_eq!(out.len(), 1);
     assert_eq!(out[0].ranked.len(), 3, "an empty history still ranks the catalog");
 }
@@ -142,7 +147,7 @@ fn overlong_history_is_front_truncated_to_the_context_window() {
 
     let mut engine = Engine::for_model(&model, cfg);
     engine.submit(&long, 4).expect("queue has room");
-    let out = engine.flush();
+    let out = completed(engine.flush_outcomes());
     assert_eq!(out.len(), 1);
     assert_eq!(out[0].ranked.len(), 4);
     // Identical to decoding the truncated prompt directly.
@@ -191,7 +196,7 @@ fn k_zero_is_rejected_with_a_typed_error() {
     // well-formed submissions are unaffected.
     assert_eq!(engine.queue_len(), 0);
     assert!(engine.submit(&[0, 1], 2).is_ok());
-    assert_eq!(engine.flush().len(), 1);
+    assert_eq!(completed(engine.flush_outcomes()).len(), 1);
 }
 
 #[test]
@@ -201,7 +206,7 @@ fn k_beyond_catalog_is_clamped_to_the_catalog() {
     let mut engine = Engine::for_model(&model, ServeConfig::default());
     engine.submit(&[0, 1], n_items + 50).expect("clamped, not rejected");
     engine.submit(&[0, 1], n_items).expect("exactly the catalog");
-    let out = engine.flush();
+    let out = completed(engine.flush_outcomes());
     assert_eq!(out[0].ranked.len(), n_items, "never more results than items");
     // The clamped request ranks exactly what an exact-catalog request does.
     assert_eq!(ranked_bits(&out[0].ranked), ranked_bits(&out[1].ranked));
@@ -217,7 +222,7 @@ fn shed_watermark_rejects_before_hard_capacity() {
     engine.submit(&[1], 1).expect("below watermark");
     assert_eq!(engine.submit(&[2], 1), Err(Reject::Shed { queued: 2 }));
     // Draining lowers the queue below the watermark again.
-    assert_eq!(engine.flush().len(), 2);
+    assert_eq!(completed(engine.flush_outcomes()).len(), 2);
     assert!(engine.submit(&[2], 1).is_ok());
 }
 
@@ -241,12 +246,6 @@ fn deadlines_resolve_as_typed_timeouts_never_silence() {
     }
     assert_eq!(outcomes[1].id(), fine);
     assert!(outcomes[1].is_completed(), "u64::MAX deadline never expires");
-    // The completed-only views hide the timeout but keep the completion.
-    let mut engine = Engine::for_model(&model, ServeConfig::default());
-    engine.submit_with_deadline(&[0], 2, Some(0)).expect("admitted");
-    engine.submit_with_deadline(&[1], 2, None).expect("admitted");
-    let responses = engine.flush();
-    assert_eq!(responses.len(), 1, "flush() filters the timed-out request");
 }
 
 #[test]
@@ -259,7 +258,7 @@ fn queue_full_rejection_reports_capacity_and_recovers() {
     }
     assert_eq!(engine.submit(&[9], 1), Err(Reject::QueueFull { capacity: 3 }));
     // Draining restores capacity; rejected work can be resubmitted.
-    assert_eq!(engine.flush().len(), 3);
+    assert_eq!(completed(engine.flush_outcomes()).len(), 3);
     assert!(engine.submit(&[9], 1).is_ok());
-    assert_eq!(engine.flush().len(), 1);
+    assert_eq!(completed(engine.flush_outcomes()).len(), 1);
 }
