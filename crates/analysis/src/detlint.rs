@@ -43,7 +43,6 @@ pub const ENV_GATE_FILES: &[&str] = &[
     "crates/obs/src/lib.rs",
     "crates/par/src/lib.rs",
     "crates/serve/src/lib.rs",
-    "crates/tensor/src/backend.rs",
     "crates/tensor/src/sanitize.rs",
 ];
 

@@ -1,5 +1,7 @@
-//! Env-var documentation gate: every `LCREC_*` environment variable the
-//! source tree reads must have a row in `docs/ENVIRONMENT.md`.
+//! Env-var documentation gate, both directions: every `LCREC_*`
+//! environment variable the source tree reads must have a row in
+//! `docs/ENVIRONMENT.md`, and every row must name a variable something
+//! still reads — deleting a knob cannot leave its row behind.
 //!
 //! The scanner finds reads two ways, both on raw (non-comment) source
 //! lines:
@@ -11,9 +13,12 @@
 //!    `Pool::from_env` / `ServeConfig::from_env`).
 //!
 //! Anything found is diffed against the variable names mentioned anywhere
-//! in the documentation table; an undocumented read fails the gate. Run it
-//! from the CLI (`cargo run -p lcrec-analysis -- envdoc`) or from a test
-//! via [`undocumented_env_reads`]; `tests/correctness.rs` enforces it.
+//! in the documentation; an undocumented read fails the gate
+//! ([`undocumented_env_reads`]). The reverse diff takes the variable named
+//! in the first cell of each table row; a row no read matches fails it too
+//! ([`unread_env_rows`]). Run it from the CLI
+//! (`cargo run -p lcrec-analysis -- envdoc`); `tests/correctness.rs`
+//! enforces both directions.
 //!
 //! The needles below are assembled with `concat!` so this file's own
 //! string literals never match themselves.
@@ -128,6 +133,18 @@ pub fn documented_vars(doc: &str) -> BTreeSet<String> {
     doc.lines().flat_map(|l| var_names_after(l, needle)).collect()
 }
 
+/// Variable names the documentation table has a row for: the `LCREC_*`
+/// name in the first cell of each `|`-delimited line. Names mentioned in
+/// other cells or in prose are cross-references, not rows.
+fn table_vars(doc: &str) -> BTreeSet<String> {
+    let needle = concat!("LCREC", "_");
+    doc.lines()
+        .filter_map(|l| l.trim_start().strip_prefix('|'))
+        .filter_map(|row| row.split('|').next())
+        .flat_map(|cell| var_names_after(cell, needle))
+        .collect()
+}
+
 /// The gate: every environment read under `root` whose variable is not
 /// mentioned in [`ENV_DOC_FILE`]. A missing or unreadable documentation
 /// file flags every read.
@@ -138,6 +155,15 @@ pub fn undocumented_env_reads(root: &Path) -> Vec<EnvRead> {
         .into_iter()
         .filter(|r| !documented.contains(&r.var))
         .collect()
+}
+
+/// The reverse gate: every variable with a row in [`ENV_DOC_FILE`]'s
+/// table (the name in a row's first cell) that no source under `root`
+/// reads, sorted.
+pub fn unread_env_rows(root: &Path) -> Vec<String> {
+    let doc = std::fs::read_to_string(root.join(ENV_DOC_FILE)).unwrap_or_default();
+    let read: BTreeSet<String> = env_reads_workspace(root).into_iter().map(|r| r.var).collect();
+    table_vars(&doc).into_iter().filter(|v| !read.contains(v)).collect()
 }
 
 #[cfg(test)]
@@ -175,6 +201,15 @@ let msg = "LCREC_NOT_A_READ";
     }
 
     #[test]
+    fn table_vars_reads_only_first_cells() {
+        let doc = "| Variable | Effect |\n|---|---|\n\
+                   | `LCREC_SHARDS` | each shard gets its own `LCREC_SERVE_QUEUE` |\n\
+                   See also LCREC_OBS.\n";
+        let vars: Vec<String> = table_vars(doc).into_iter().collect();
+        assert_eq!(vars, vec!["LCREC_SHARDS"]);
+    }
+
+    #[test]
     fn workspace_reads_are_all_documented() {
         // The real gate, run against the real tree (also enforced as a
         // tier-1 test in tests/correctness.rs).
@@ -188,6 +223,7 @@ let msg = "LCREC_NOT_A_READ";
             "undocumented env reads:\n{}",
             missing.iter().map(|m| format!("  {m}\n")).collect::<String>()
         );
+        assert_eq!(unread_env_rows(root), Vec::<String>::new(), "rows nothing reads");
         // Sanity: the scanner actually sees the known reads.
         let all = env_reads_workspace(root);
         for expected in ["LCREC_THREADS", "LCREC_OBS", "LCREC_SANITIZE", "LCREC_SERVE_BATCH"] {

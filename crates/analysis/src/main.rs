@@ -57,14 +57,22 @@ fn main() -> ExitCode {
         Some("envdoc") => {
             let root = args.get(1).map(PathBuf::from).unwrap_or_else(workspace_root);
             let missing = envdoc::undocumented_env_reads(&root);
-            if missing.is_empty() {
+            let unread = envdoc::unread_env_rows(&root);
+            if missing.is_empty() && unread.is_empty() {
                 println!("envdoc: clean ({})", root.display());
                 ExitCode::SUCCESS
             } else {
                 for m in &missing {
                     eprintln!("{m}");
                 }
-                eprintln!("envdoc: {} undocumented env read(s)", missing.len());
+                for var in &unread {
+                    eprintln!("{}: `{var}` has a row but nothing reads it", envdoc::ENV_DOC_FILE);
+                }
+                eprintln!(
+                    "envdoc: {} undocumented env read(s), {} unread row(s)",
+                    missing.len(),
+                    unread.len()
+                );
                 ExitCode::FAILURE
             }
         }

@@ -6,6 +6,7 @@
 //! deliberately.
 
 use lcrec_analysis::annot::{audit_table, json_report, Allow, JsonFinding, Scope};
+use lcrec_analysis::envdoc::{undocumented_env_reads, unread_env_rows};
 
 fn sample_allow(file: &str, line: usize, scope: Scope, reason: &str) -> Allow {
     Allow {
@@ -62,4 +63,32 @@ fn audit_table_rows_are_sorted_and_aligned() {
                 crates/a/src/lib.rs:4  det    sorted right after\n\
                 crates/z/src/lib.rs:9  panic  len checked above\n";
     assert_eq!(got, want);
+}
+
+#[test]
+fn envdoc_flags_reads_without_rows_and_rows_without_reads() {
+    let root = std::env::temp_dir().join(format!("lcrec-envdoc-{}", std::process::id()));
+    let src = root.join("crates/x/src");
+    std::fs::create_dir_all(&src).expect("mkdir");
+    std::fs::create_dir_all(root.join("docs")).expect("mkdir");
+    // Assembled so this file's own lines never read as `_ENV` constants
+    // when the real gate scans the workspace.
+    let p = concat!("LCREC", "_");
+    std::fs::write(
+        src.join("lib.rs"),
+        format!("pub const KEPT_ENV: &str = \"{p}KEPT\";\npub const NEW_ENV: &str = \"{p}NEW\";\n"),
+    )
+    .expect("write source");
+    // `LCREC_GONE` keeps a row after its read was deleted; the `LCREC_NEW`
+    // mention in another cell is a cross-reference, not a row.
+    std::fs::write(
+        root.join("docs/ENVIRONMENT.md"),
+        "| Variable | Effect |\n|---|---|\n\
+         | `LCREC_KEPT` | composes with `LCREC_NEW` |\n\
+         | `LCREC_GONE` | a deleted knob |\n",
+    )
+    .expect("write doc");
+    assert!(undocumented_env_reads(&root).is_empty(), "prose mentions still document a read");
+    assert_eq!(unread_env_rows(&root), vec!["LCREC_GONE".to_string()]);
+    std::fs::remove_dir_all(&root).ok();
 }

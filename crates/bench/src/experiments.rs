@@ -564,12 +564,12 @@ pub fn sweeps(scale: Scale) -> ExpOutput {
 
 // ------------------------------------------------------- extra: thread scaling
 
-/// Thread-scaling experiment over the three parallel hot paths —
+/// Thread-count oracle check over the three parallel hot paths —
 /// constrained beam search, RQ-VAE training and a full evaluation pass —
-/// timed at 1/2/4 worker threads with explicit [`lcrec_par::Pool`]s. Besides
-/// wall-clock, every phase asserts **bit-identity** across thread counts:
-/// the deterministic-reduction contract of `lcrec-par` means
-/// `LCREC_THREADS` must never change a score, a loss or a ranked list.
+/// run at 1/2/4 worker threads with explicit [`lcrec_par::Pool`]s. Every
+/// phase checks **bit-identity** across thread counts: the
+/// deterministic-reduction contract of `lcrec-par` means `LCREC_THREADS`
+/// must never change a score, a loss or a ranked list.
 pub fn scaling(scale: Scale) -> ExpOutput {
     let threads = [1usize, 2, 4];
     let ds = dataset(scale, "Games");
@@ -585,7 +585,7 @@ pub fn scaling(scale: Scale) -> ExpOutput {
     let prompts: Vec<Vec<u32>> = (0..ds.num_users().min(24))
         .map(|u| model.vocab().render(&builder.seq_eval_prompt(ds.test_example(u).0)))
         .collect();
-    let (times, identical) = run_scaled(&threads, |pool| {
+    let identical = identical_across(&threads, |pool| {
         let hyps: Vec<Vec<(u32, u32)>> = prompts
             .iter()
             .map(|p| {
@@ -597,66 +597,57 @@ pub fn scaling(scale: Scale) -> ExpOutput {
             .collect();
         hyps
     });
-    rows.push(scaling_row("beam search (24 users, beam 20)", &threads, &times, identical));
+    rows.push(scaling_row("beam search (24 users, beam 20)", &threads, identical));
 
     // RQ-VAE training: a short run from a fresh model per thread count.
     let mut rq_cfg = crate::setup::rq_config(scale, ds.num_items());
     rq_cfg.epochs = rq_cfg.epochs.min(4);
-    let (times, identical) = run_scaled(&threads, |pool| {
+    let identical = identical_across(&threads, |pool| {
         let mut rq = lcrec_rqvae::RqVae::new(rq_cfg.clone());
         let report = rq.train_with(pool, &emb);
         let bits: Vec<u32> = report.epoch_losses.iter().map(|l| l.to_bits()).collect();
         (bits, rq.build_indices(&emb).codes)
     });
-    rows.push(scaling_row(
-        &format!("RQ-VAE training ({} epochs)", rq_cfg.epochs),
-        &threads,
-        &times,
-        identical,
-    ));
+    let phase = format!("RQ-VAE training ({} epochs)", rq_cfg.epochs);
+    rows.push(scaling_row(&phase, &threads, identical));
 
     // Evaluation harness: full leave-one-out pass over every user.
     let ranker = LcRecRanker { model: &model, builder: InstructionBuilder::new(&ds), template: 0 };
-    let (times, identical) = run_scaled(&threads, |pool| {
+    let identical = identical_across(&threads, |pool| {
         let m = lcrec_eval::evaluate_test_with(pool, &ranker, &ds, 20);
         let bits: Vec<u64> = m.as_row().iter().map(|v| v.to_bits()).collect();
         (bits, m.count)
     });
-    rows.push(scaling_row("full evaluation (all users, k=20)", &threads, &times, identical));
+    rows.push(scaling_row("full evaluation (all users, k=20)", &threads, identical));
 
     let md = format!(
-        "## Extra — thread scaling (`LCREC_THREADS`, Games)\n\n\
-         Wall-clock per phase with an explicit worker pool; `bit-identical`\n\
-         verifies that every thread count returned byte-for-byte the same\n\
-         scores (the deterministic-reduction contract of `lcrec-par`).\n\
-         Speedups are hardware-dependent; see EXPERIMENTS.md for the\n\
-         machine this table was generated on.\n\n{}",
-        markdown_table(
-            &["Phase", "1 thread", "2 threads", "4 threads", "speedup (4T)", "bit-identical"],
-            &rows
-        )
+        "## Extra — thread-count bit-identity (`LCREC_THREADS`, Games)\n\n\
+         Each phase runs at 1, 2 and 4 worker threads with an explicit\n\
+         pool; `bit-identical` verifies that every thread count returned\n\
+         byte-for-byte the same scores (the deterministic-reduction\n\
+         contract of `lcrec-par`). The table reports no timings: speed is\n\
+         the serving benchmark's job (`benchmark/`, see its README).\n\n{}",
+        markdown_table(&["Phase", "threads", "bit-identical"], &rows)
     );
     ExpOutput::text(md)
 }
 
 // ------------------------------------------------------- extra: serving
 
-/// Serving-throughput experiment (`lcrec-serve`): real test-user histories
-/// are pushed through the batched inference engine at max-batch 1, 2, 4
-/// and 8, measuring wall-clock, request throughput and mean per-request
-/// latency. Every batched run is bit-compared against the `max_batch = 1`
-/// baseline — batching must amortize weight traffic, never change a
-/// ranking or a log-probability.
+/// Serving oracle check (`lcrec-serve`): real test-user histories are
+/// pushed through the batched inference engine at max-batch 1, 2, 4 and
+/// 8, each run twice and asserted deterministic. Every batched run is
+/// bit-compared against the `max_batch = 1` baseline — batching must
+/// amortize weight traffic, never change a ranking or a log-probability.
+/// Serving speed is the serving benchmark's job (`benchmark/`), not this
+/// table's.
 pub fn serve(scale: Scale) -> ExpOutput {
     let ds = dataset(scale, "Games");
     let emb = item_embeddings(&ds);
     let idx = indices(scale, &ds, &emb, IndexerKind::LcRec);
     let model = LcRec::build(&ds, idx, crate::setup::lcrec_config(scale, TaskSet::seq_only()));
 
-    // Cycle real user histories up to a fixed request count — large enough
-    // that per-run wall-clock dominates timer noise — and keep the best of
-    // three timed repetitions per batch size (answers are asserted
-    // identical across repetitions anyway).
+    // Cycle real user histories up to a fixed request count.
     let total = match scale {
         Scale::Small => 96,
         Scale::Tiny => 16,
@@ -666,89 +657,67 @@ pub fn serve(scale: Scale) -> ExpOutput {
         (0..total).map(|r| ds.test_example(r % users).0.to_vec()).collect();
     let n_requests = histories.len();
     let k = 10usize;
-    let reps = 3;
 
-    let run = |max_batch: usize| -> (f64, f64, Vec<Vec<(u32, u32)>>) {
+    // One run's responses as (largest batch, ranked bits per request).
+    let run_once = |max_batch: usize| -> (usize, Vec<Vec<(u32, u32)>>) {
         let cfg = lcrec_serve::ServeConfig {
             max_batch,
             queue_cap: n_requests.max(1),
-            max_wait_ms: 0,
             ..lcrec_serve::ServeConfig::default()
         };
-        let mut best_wall = f64::INFINITY;
-        let mut best_lat = f64::INFINITY;
-        let mut bits: Vec<Vec<(u32, u32)>> = Vec::new();
-        for rep in 0..reps {
-            let mut engine = lcrec_serve::Engine::for_model(&model, cfg.clone());
-            let t0 = std::time::Instant::now(); // lint: allow(det, reason = "throughput experiment measures wall time by design; responses are compared bit-for-bit separately")
-            for hist in &histories {
-                engine.submit(hist, k).expect("queue sized to the load");
-            }
-            let responses: Vec<lcrec_serve::Response> = engine
-                .flush_outcomes()
-                .into_iter()
-                .filter_map(lcrec_serve::Outcome::completed)
-                .collect();
-            let wall = t0.elapsed().as_secs_f64();
-            let lat = responses.iter().map(|r| r.latency_s).sum::<f64>()
-                / responses.len().max(1) as f64;
-            let rep_bits: Vec<Vec<(u32, u32)>> = responses
-                .iter()
-                .map(|r| r.ranked.iter().map(|h| (h.item, h.logprob.to_bits())).collect())
-                .collect();
-            if rep == 0 {
-                bits = rep_bits;
-            } else {
-                assert_eq!(bits, rep_bits, "serving must be deterministic across repetitions");
-            }
-            if wall < best_wall {
-                best_wall = wall;
-                best_lat = lat;
-            }
+        let mut engine = lcrec_serve::Engine::for_model(&model, cfg);
+        for hist in &histories {
+            engine.submit(hist, k).expect("queue sized to the load");
         }
-        (best_wall, best_lat, bits)
+        let responses: Vec<lcrec_serve::Response> = engine
+            .flush_outcomes()
+            .into_iter()
+            .filter_map(lcrec_serve::Outcome::completed)
+            .collect();
+        assert_eq!(responses.len(), n_requests, "no deadline, queue sized: all complete");
+        let largest = responses.iter().map(|r| r.batch_size).max().unwrap_or(0);
+        let bits = responses
+            .iter()
+            .map(|r| r.ranked.iter().map(|h| (h.item, h.logprob.to_bits())).collect())
+            .collect();
+        (largest, bits)
+    };
+    let run = |max_batch: usize| {
+        let first = run_once(max_batch);
+        assert_eq!(first, run_once(max_batch), "serving must be deterministic across repetitions");
+        first
     };
 
-    let (base_wall, base_lat, base_bits) = run(1);
+    let (_, base_bits) = run(1);
     let mut rows = vec![vec![
         "1 (sequential)".to_string(),
-        format!("{base_wall:.2}s"),
-        format!("{:.1}", n_requests as f64 / base_wall.max(1e-9)),
-        format!("{:.1}ms", base_lat * 1e3),
-        "1.00x".to_string(),
+        n_requests.to_string(),
+        "1".to_string(),
         "—".to_string(),
     ]];
     for max_batch in [2usize, 4, 8] {
-        let (wall, lat, bits) = run(max_batch);
+        let (largest, bits) = run(max_batch);
         rows.push(vec![
             max_batch.to_string(),
-            format!("{wall:.2}s"),
-            format!("{:.1}", n_requests as f64 / wall.max(1e-9)),
-            format!("{:.1}ms", lat * 1e3),
-            format!("{:.2}x", base_wall / wall.max(1e-9)),
+            n_requests.to_string(),
+            largest.to_string(),
             if bits == base_bits { "yes".into() } else { "NO".into() },
         ]);
     }
 
     let md = format!(
-        "## Extra — serving throughput (`lcrec-serve`, Games)\n\n\
+        "## Extra — serving oracle check (`lcrec-serve`, Games)\n\n\
          {n_requests} test-user requests (top-{k} each) through the batched\n\
          inference engine at increasing max batch size: one admission queue,\n\
-         batched prefill, multi-request trie-constrained beam decode.\n\
-         Best of {reps} timed repetitions per row; `bit-identical` compares\n\
+         batched prefill, multi-request trie-constrained beam decode. Each\n\
+         row runs twice and must repeat itself bit for bit; `largest batch`\n\
+         is the most requests one decode shared; `bit-identical` compares\n\
          every ranking and log-prob bit against the sequential\n\
-         (`max_batch = 1`) baseline; speedups are hardware-dependent (see\n\
-         EXPERIMENTS.md for the machine).\n\n\
-         Scale caveat: batching pays off by amortizing *weight-matrix\n\
-         traffic* across requests, but this reproduction's LM (~200k\n\
-         parameters) is fully cache-resident, so there is little traffic\n\
-         to amortize — the table demonstrates the serving contract\n\
-         (batching never changes an answer and costs no throughput), not\n\
-         the large-model speedup the engine exists for.\n\n{}",
-        markdown_table(
-            &["max batch", "wall", "req/s", "mean latency", "speedup", "bit-identical"],
-            &rows
-        )
+         (`max_batch = 1`) baseline.\n\n\
+         Serving speed — throughput, latency percentiles and the per-layer\n\
+         split under replayed traffic — is measured by the serving\n\
+         benchmark (`benchmark/`, see its README), not by this table.\n\n{}",
+        markdown_table(&["max batch", "requests", "largest batch", "bit-identical"], &rows)
     );
     ExpOutput::text(md)
 }
@@ -876,7 +845,6 @@ pub fn chaos(scale: Scale) -> ExpOutput {
         let cfg = lcrec_serve::ServeConfig {
             max_batch: 4,
             queue_cap: 8,
-            max_wait_ms: 0,
             ..lcrec_serve::ServeConfig::default()
         };
         let mut engine = lcrec_serve::Engine::for_model(&model, cfg)
@@ -974,7 +942,7 @@ pub fn profile(scale: Scale) -> ExpOutput {
     // RQ-VAE training, fresh model per thread count.
     let mut rq_cfg = crate::setup::rq_config(scale, ds.num_items());
     rq_cfg.epochs = rq_cfg.epochs.min(4);
-    let (_, rq_identical) = run_scaled(&threads, |pool| {
+    let rq_identical = identical_across(&threads, |pool| {
         let mut rq = lcrec_rqvae::RqVae::new(rq_cfg.clone());
         let report = rq.train_with(pool, &emb);
         report.epoch_losses.iter().map(|l| l.to_bits()).collect::<Vec<u32>>()
@@ -984,7 +952,7 @@ pub fn profile(scale: Scale) -> ExpOutput {
     let mut rc = rec_config(scale);
     rc.epochs = rc.epochs.min(2);
     let pairs = TrainingPairs::build(&ds, rc.max_len);
-    let (_, seqrec_identical) = run_scaled(&threads, |pool| {
+    let seqrec_identical = identical_across(&threads, |pool| {
         let mut m = SasRec::new(ds.num_items(), rc.clone());
         let losses = lcrec_seqrec::train_next_item_with(pool, &mut m, &pairs);
         losses.iter().map(|l| l.to_bits()).collect::<Vec<u32>>()
@@ -1002,7 +970,7 @@ pub fn profile(scale: Scale) -> ExpOutput {
     let prompts: Vec<Vec<u32>> = (0..ds.num_users().min(16))
         .map(|u| model.vocab().render(&builder.seq_eval_prompt(ds.test_example(u).0)))
         .collect();
-    let (_, beam_identical) = run_scaled(&threads, |pool| {
+    let beam_identical = identical_across(&threads, |pool| {
         prompts
             .iter()
             .map(|p| {
@@ -1022,7 +990,7 @@ pub fn profile(scale: Scale) -> ExpOutput {
     });
 
     let ranker = LcRecRanker { model: &model, builder: InstructionBuilder::new(&ds), template: 0 };
-    let (_, eval_identical) = run_scaled(&threads, |pool| {
+    let eval_identical = identical_across(&threads, |pool| {
         let m = lcrec_eval::evaluate_test_with(pool, &ranker, &ds, 20);
         m.as_row().iter().map(|v| v.to_bits()).collect::<Vec<u64>>()
     });
@@ -1093,47 +1061,35 @@ pub fn profile(scale: Scale) -> ExpOutput {
     }
 }
 
-/// Runs `work` once per thread count; returns the wall-clock seconds per
-/// run and whether every run produced an identical result.
-fn run_scaled<R: PartialEq>(
-    threads: &[usize],
-    work: impl Fn(&lcrec_par::Pool) -> R,
-) -> (Vec<f64>, bool) {
-    let mut times = Vec::with_capacity(threads.len());
-    let mut results: Vec<R> = Vec::with_capacity(threads.len());
-    for &t in threads {
-        let pool = lcrec_par::Pool::new(t);
-        let t0 = std::time::Instant::now(); // lint: allow(det, reason = "scaling experiment measures wall time by design; result equality across thread counts is checked separately")
-        results.push(work(&pool));
-        times.push(t0.elapsed().as_secs_f64());
-    }
-    let identical = results.windows(2).all(|w| w[0] == w[1]);
-    (times, identical)
+/// Runs `work` once per thread count; true when every run produced an
+/// identical result.
+fn identical_across<R: PartialEq>(threads: &[usize], work: impl Fn(&lcrec_par::Pool) -> R) -> bool {
+    let results: Vec<R> = threads.iter().map(|&t| work(&lcrec_par::Pool::new(t))).collect();
+    results.windows(2).all(|w| w[0] == w[1])
 }
 
-fn scaling_row(phase: &str, threads: &[usize], times: &[f64], identical: bool) -> Vec<String> {
-    let mut row = vec![phase.to_string()];
-    for (i, _) in threads.iter().enumerate() {
-        row.push(format!("{:.2}s", times[i]));
-    }
-    let last = *times.last().unwrap_or(&f64::NAN);
-    row.push(format!("{:.2}x", times.first().unwrap_or(&f64::NAN) / last.max(1e-9)));
-    row.push(if identical { "yes".into() } else { "NO".into() });
-    row
+fn scaling_row(phase: &str, threads: &[usize], identical: bool) -> Vec<String> {
+    let threads: Vec<String> = threads.iter().map(usize::to_string).collect();
+    vec![
+        phase.to_string(),
+        threads.join("/"),
+        if identical { "yes".into() } else { "NO".into() },
+    ]
 }
 
 // ------------------------------------------------------ extra: scale
 
-/// Scale-tier serving benchmark (`repro --exp scale [--tier …]` →
+/// Scale-tier serving oracle check (`repro --exp scale [--tier …]` →
 /// `results/scale.md`): deterministic Zipf-replayed traffic
 /// ([`lcrec_data::ScaleConfig`]) through the serve
 /// [`Engine`](lcrec_serve::Engine) at each [`ScaleTier`] — synthetic
 /// unique semantic indices over the tier's catalog, an untrained LM at
 /// the tier's width/depth (serving cost does not depend on the weight
 /// *values*), request histories drawn from the tier's streamed user
-/// generator. Reports weight bytes, req/s and p50/p99 latency per tier,
-/// and bit-compares batched (`max_batch = 8`) against sequential
-/// (`max_batch = 1`) responses — scaling up must never change an answer.
+/// generator. Reports weight bytes per tier and bit-compares batched
+/// (`max_batch = 8`) against sequential (`max_batch = 1`) responses —
+/// scaling up must never change an answer. Speed at scale is the serving
+/// benchmark's job (`benchmark/`).
 pub fn scale_tiers(scale: Scale, tiers: &[ScaleTier]) -> ExpOutput {
     use lcrec_core::{CausalLm, ExtendedVocab};
     use lcrec_data::{ScaleConfig, ZipfSampler};
@@ -1178,51 +1134,33 @@ pub fn scale_tiers(scale: Scale, tiers: &[ScaleTier]) -> ExpOutput {
             .collect();
         let k = 5usize;
 
-        let run = |max_batch: usize| -> (f64, Vec<f64>, Vec<Vec<(u32, u32)>>) {
+        let run = |max_batch: usize| -> Vec<Vec<(u32, u32)>> {
             let cfg = lcrec_serve::ServeConfig {
                 max_batch,
                 queue_cap: n_requests.max(1),
-                max_wait_ms: 0,
                 ..lcrec_serve::ServeConfig::default()
             };
             let mut engine = lcrec_serve::Engine::new(&lm, &vocab, &trie, cfg);
-            let t0 = std::time::Instant::now(); // lint: allow(det, reason = "throughput experiment measures wall time by design; responses are compared bit-for-bit separately")
             for hist in &histories {
                 engine.submit(hist, k).expect("queue sized to the load");
             }
-            let responses: Vec<lcrec_serve::Response> = engine
+            engine
                 .flush_outcomes()
                 .into_iter()
                 .filter_map(lcrec_serve::Outcome::completed)
-                .collect();
-            let wall = t0.elapsed().as_secs_f64();
-            let mut lats: Vec<f64> = responses.iter().map(|r| r.latency_s).collect();
-            lats.sort_by(f64::total_cmp);
-            let bits: Vec<Vec<(u32, u32)>> = responses
-                .iter()
                 .map(|r| r.ranked.iter().map(|h| (h.item, h.logprob.to_bits())).collect())
-                .collect();
-            (wall, lats, bits)
+                .collect()
         };
 
-        let (_, _, seq_bits) = run(1);
-        let (wall, lats, bits) = run(8);
-        let pct = |q: f64| -> f64 {
-            if lats.is_empty() {
-                return f64::NAN;
-            }
-            let i = ((lats.len() - 1) as f64 * q).round() as usize;
-            *lats.get(i).unwrap_or(&f64::NAN)
-        };
+        let seq_bits = run(1);
+        let bits = run(8);
+        assert_eq!(bits.len(), n_requests, "no deadline, queue sized: all complete");
         rows.push(vec![
             name.clone(),
             workload.num_items.to_string(),
             workload.num_users.to_string(),
             format!("{:.1} MB", weight_bytes as f64 / (1024.0 * 1024.0)),
             n_requests.to_string(),
-            format!("{:.1}", n_requests as f64 / wall.max(1e-9)),
-            format!("{:.1}ms", pct(0.50) * 1e3),
-            format!("{:.1}ms", pct(0.99) * 1e3),
             if bits == seq_bits { "yes".into() } else { "NO".into() },
         ]);
     }
@@ -1234,14 +1172,15 @@ pub fn scale_tiers(scale: Scale, tiers: &[ScaleTier]) -> ExpOutput {
          semantic indices over the tier's catalog, an untrained LM at the\n\
          tier's width/depth, histories from the streamed user generator.\n\
          `weights` is the resident f32 parameter size — the small tier fits\n\
-         in L2, the large tier exceeds it by an order of magnitude, so its\n\
-         row measures memory traffic, not cache replay (see\n\
-         docs/PERFORMANCE.md, \"Scale tiers\"). Latency percentiles are\n\
-         per-request submit→response times under `max_batch = 8`;\n\
-         `bit-identical` compares every ranking and log-prob bit against\n\
-         the sequential (`max_batch = 1`) run of the same traffic.\n\n{}",
+         in L2, the large tier exceeds it by an order of magnitude (see\n\
+         docs/PERFORMANCE.md, \"Scale tiers\"). `bit-identical` compares\n\
+         every ranking and log-prob bit of the `max_batch = 8` run against\n\
+         the sequential (`max_batch = 1`) run of the same traffic.\n\n\
+         Throughput and latency under this kind of traffic are measured by\n\
+         the serving benchmark (`benchmark/`, see its README), not by this\n\
+         table.\n\n{}",
         markdown_table(
-            &["tier", "items", "users", "weights", "requests", "req/s", "p50", "p99", "bit-identical"],
+            &["tier", "items", "users", "weights", "requests", "bit-identical"],
             &rows
         )
     );
@@ -1258,12 +1197,12 @@ pub fn scale(scale: Scale) -> ExpOutput {
 /// Shard counts the `repro --exp fleet` default sweeps.
 pub const DEFAULT_FLEET_SHARDS: &[usize] = &[1, 2, 4];
 
-/// Sharded-fleet serving benchmark (`repro --exp fleet [--tier …]
+/// Sharded-fleet serving oracle check (`repro --exp fleet [--tier …]
 /// [--shards …]` → `results/fleet.md`): the same Zipf-replayed traffic as
 /// [`scale_tiers`], driven through the consistent-hash
 /// [`Router`](lcrec_serve::Router) at each requested shard count. Reports
-/// req/s, p50/p99 latency and the per-shard admission split (from the
-/// `router.shard<N>.requests` obs counters), and bit-compares every
+/// the per-shard admission split (from the `router.shard<N>.requests` obs
+/// counters), and bit-compares every
 /// ranking + log-prob against a direct single-[`Engine`](lcrec_serve::Engine)
 /// run of the same traffic — the fleet-level determinism contract:
 /// sharding must never change an answer.
@@ -1316,7 +1255,6 @@ pub fn fleet(scale: Scale, tiers: &[ScaleTier], shard_counts: &[usize]) -> ExpOu
         let shard_cfg = |queue_cap: usize| lcrec_serve::ServeConfig {
             max_batch: 8,
             queue_cap: queue_cap.max(1),
-            max_wait_ms: 0,
             ..lcrec_serve::ServeConfig::default()
         };
 
@@ -1345,22 +1283,18 @@ pub fn fleet(scale: Scale, tiers: &[ScaleTier], shard_counts: &[usize]) -> ExpOu
                 ..lcrec_serve::RouterConfig::default()
             };
             let mut router = lcrec_serve::Router::new(&lm, &vocab, &trie, cfg);
-            let t0 = std::time::Instant::now(); // lint: allow(det, reason = "throughput experiment measures wall time by design; rankings are compared bit-for-bit separately")
             for (user, hist) in &traffic {
                 router.submit(*user, hist, k).expect("per-shard queues sized to the load");
             }
             let outcomes = router.flush_outcomes();
-            let wall = t0.elapsed().as_secs_f64();
 
             // Tickets are issued in arrival order, so slotting responses
             // by ticket id aligns them with the baseline's arrival order.
             let mut bits: Vec<Vec<(u32, u32)>> = vec![Vec::new(); traffic.len()];
-            let mut lats: Vec<f64> = Vec::with_capacity(traffic.len());
             let mut completed = 0usize;
             for o in &outcomes {
                 if let lcrec_serve::RouterOutcome::Completed { response, .. } = o {
                     completed += 1;
-                    lats.push(response.latency_s);
                     if let Some(slot) = bits.get_mut(response.id as usize) {
                         *slot = response
                             .ranked
@@ -1372,14 +1306,6 @@ pub fn fleet(scale: Scale, tiers: &[ScaleTier], shard_counts: &[usize]) -> ExpOu
             }
             assert_eq!(completed, traffic.len(), "no deadline, queues sized: all complete");
             assert_eq!(router.pending_len(), 0, "every ticket resolved exactly once");
-            lats.sort_by(f64::total_cmp);
-            let pct = |q: f64| -> f64 {
-                if lats.is_empty() {
-                    return f64::NAN;
-                }
-                let i = ((lats.len() - 1) as f64 * q).round() as usize;
-                *lats.get(i).unwrap_or(&f64::NAN)
-            };
             let snap = lcrec_obs::snapshot();
             let per_shard: Vec<String> = (0..shards)
                 .map(|s| snap.counter(&format!("router.shard{s}.requests")).to_string())
@@ -1388,9 +1314,6 @@ pub fn fleet(scale: Scale, tiers: &[ScaleTier], shard_counts: &[usize]) -> ExpOu
                 name.clone(),
                 shards.to_string(),
                 n_requests.to_string(),
-                format!("{:.1}", n_requests as f64 / wall.max(1e-9)),
-                format!("{:.1}ms", pct(0.50) * 1e3),
-                format!("{:.1}ms", pct(0.99) * 1e3),
                 per_shard.join("/"),
                 if bits == direct_bits { "yes".into() } else { "NO".into() },
             ]);
@@ -1404,17 +1327,14 @@ pub fn fleet(scale: Scale, tiers: &[ScaleTier], shard_counts: &[usize]) -> ExpOu
          consistent-hash `Router` at each shard count: every user id maps\n\
          to a shard via the seeded ring, each shard runs its own bounded\n\
          `Engine` (`max_batch = 8`), and `per-shard reqs` is the admission\n\
-         split the `router.shard<N>.requests` obs counters recorded. All\n\
-         shards run in one process on one CPU, so sharding adds routing\n\
-         overhead rather than parallel speedup here — the column that\n\
-         matters is `bit-identical`: every ranking and log-prob bit must\n\
-         match a direct single-`Engine` run of the same traffic, at every\n\
-         shard count (see docs/FLEET.md; hedging and hot-swap semantics\n\
-         are exercised by tests/fleet.rs).\n\n{}",
-        markdown_table(
-            &["tier", "shards", "requests", "req/s", "p50", "p99", "per-shard reqs", "bit-identical"],
-            &rows
-        )
+         split the `router.shard<N>.requests` obs counters recorded.\n\
+         `bit-identical`: every ranking and log-prob bit must match a\n\
+         direct single-`Engine` run of the same traffic, at every shard\n\
+         count (see docs/FLEET.md; hedging and hot-swap semantics are\n\
+         exercised by tests/fleet.rs). Fleet throughput and latency are\n\
+         measured by the serving benchmark (`benchmark/`, see its README),\n\
+         not by this table.\n\n{}",
+        markdown_table(&["tier", "shards", "requests", "per-shard reqs", "bit-identical"], &rows)
     );
     ExpOutput::text(md)
 }
@@ -1428,14 +1348,14 @@ pub const ABSORB_STEPS_ENV: &str = "LCREC_ABSORB_STEPS";
 /// Online catalog evolution (`docs/CATALOG.md`): hold out
 /// the last ~20% of the catalog, train the RQ-VAE on the rest, then admit
 /// the held-out items one by one through `CatalogUpdater` into a
-/// copy-on-write `CatalogTrie` — measuring per-insert latency — while the
-/// serving fleet rolls forward via `Router::swap_catalog`. Two bit
-/// columns gate correctness: the incrementally grown trie must equal a
-/// full rebuild from the union catalog, and decodes against the
-/// pre-growth snapshot must be bit-identical before and after the
-/// inserts. A bounded absorption pass (`lcrec_seqrec::absorb_with`) then
-/// fine-tunes SASRec on the new-item pairs, reporting recall@10 on new
-/// items before and after.
+/// copy-on-write `CatalogTrie` while the serving fleet rolls forward via
+/// `Router::swap_catalog`. Two bit columns gate correctness: the
+/// incrementally grown trie must equal a full rebuild from the union
+/// catalog, and decodes against the pre-growth snapshot must be
+/// bit-identical before and after the inserts. A bounded absorption pass
+/// (`lcrec_seqrec::absorb_with`) then fine-tunes SASRec on the new-item
+/// pairs, reporting recall@10 on new items before and after. Insert speed
+/// is the serving benchmark's `snapshot.insert_us`, not this table's.
 pub fn evolve(scale: Scale) -> ExpOutput {
     use lcrec_core::{CatalogTrie, CausalLm, ExtendedVocab};
     use lcrec_rqvae::{CatalogUpdater, IndexTrie, RqVae};
@@ -1493,7 +1413,6 @@ pub fn evolve(scale: Scale) -> ExpOutput {
     let serve_cfg = || lcrec_serve::ServeConfig {
         max_batch: 4,
         queue_cap: traffic.len().max(1),
-        max_wait_ms: 0,
         ..lcrec_serve::ServeConfig::default()
     };
     let decode_bits = |trie: &IndexTrie| -> Vec<Vec<(u32, u32)>> {
@@ -1515,14 +1434,11 @@ pub fn evolve(scale: Scale) -> ExpOutput {
     let obs_was_on = lcrec_obs::enabled();
     lcrec_obs::set_enabled(true);
     lcrec_obs::reset();
-    let mut lat_us: Vec<f64> = Vec::with_capacity(n_new);
     let mut collisions = 0usize;
     let mut relocations = 0usize;
     for i in n_base..n {
-        let t0 = std::time::Instant::now(); // lint: allow(det, reason = "index-update latency is the measured quantity; trie contents are compared bit-for-bit separately")
         let adm = updater.admit(emb.row(i)).expect("code space is overprovisioned");
         let epoch = ctrie.insert(&adm.codes, adm.item).expect("admission paths are free");
-        lat_us.push(t0.elapsed().as_secs_f64() * 1e6);
         assert_eq!(adm.item as usize, i, "admissions extend the dense id space");
         assert_eq!(epoch, (i - n_base + 1) as u64, "one epoch per insert");
         collisions += usize::from(!adm.greedy);
@@ -1564,20 +1480,11 @@ pub fn evolve(scale: Scale) -> ExpOutput {
     let swaps = snap.counter("catalog.swaps");
     lcrec_obs::set_enabled(obs_was_on);
 
-    lat_us.sort_by(f64::total_cmp);
-    let mean_us = lat_us.iter().sum::<f64>() / lat_us.len().max(1) as f64;
-    let p99_us = {
-        let i = ((lat_us.len().max(1) - 1) as f64 * 0.99).round() as usize;
-        lat_us.get(i).copied().unwrap_or(f64::NAN)
-    };
-
     let index_rows = vec![vec![
         format!("{n_base}→{n}"),
         ctrie.epoch().to_string(),
         ctrie.num_nodes().to_string(),
         rebuild.num_nodes().to_string(),
-        format!("{mean_us:.1}µs"),
-        format!("{p99_us:.1}µs"),
         collisions.to_string(),
         relocations.to_string(),
         if rebuild_ok { "yes".into() } else { "NO".into() },
@@ -1652,8 +1559,6 @@ pub fn evolve(scale: Scale) -> ExpOutput {
                 "epochs",
                 "arena nodes",
                 "rebuild nodes",
-                "mean insert",
-                "p99 insert",
                 "collisions",
                 "relocations",
                 "bit-identical (rebuild)",

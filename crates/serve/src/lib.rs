@@ -1,8 +1,8 @@
 //! # lcrec-serve
 //!
 //! A batched inference engine for LC-Rec: recommendation requests (user
-//! history → top-K item indices) are admitted into a bounded queue, grouped
-//! by a max-batch-size / max-wait policy, and decoded **together** — one
+//! history → top-K item indices) are admitted into a bounded queue, drained
+//! oldest-first in batches of at most `max_batch`, and decoded **together** — one
 //! weight pass per transformer step shared across every request's prefill
 //! tokens and beam candidates ([`lcrec_core::multi_constrained_beam_search_scratch`]).
 //!
@@ -27,9 +27,12 @@
 //!   histogram and per-request latency under the `LCREC_OBS` gate; faults,
 //!   retries, sheds and timeouts have counters of their own.
 //!
-//! Batching knobs come from [`ServeConfig`] or the `LCREC_SERVE_BATCH`,
-//! `LCREC_SERVE_QUEUE` and `LCREC_SERVE_WAIT_MS` environment variables
-//! (documented in `docs/ENVIRONMENT.md`). Fault injection for the chaos
+//! Dispatch is work-conserving: [`Engine::step_outcomes`] decodes whatever
+//! is queued, since a batch runs to completion on the caller's thread and
+//! requests arriving meanwhile queue up for the next one anyway. Batching
+//! knobs come from [`ServeConfig`] or the `LCREC_SERVE_BATCH` and
+//! `LCREC_SERVE_QUEUE` environment variables (documented in
+//! `docs/ENVIRONMENT.md`). Fault injection for the chaos
 //! suite is wired through [`lcrec_fault::FaultPlan`] (`LCREC_FAULT`,
 //! default off).
 
@@ -55,8 +58,6 @@ use std::time::Instant;
 pub const BATCH_ENV: &str = "LCREC_SERVE_BATCH";
 /// Environment variable overriding [`ServeConfig::queue_cap`].
 pub const QUEUE_ENV: &str = "LCREC_SERVE_QUEUE";
-/// Environment variable overriding [`ServeConfig::max_wait_ms`].
-pub const WAIT_ENV: &str = "LCREC_SERVE_WAIT_MS";
 
 /// Batching and admission policy for an [`Engine`].
 #[derive(Clone, Debug)]
@@ -67,9 +68,6 @@ pub struct ServeConfig {
     /// Admission-queue capacity; a full queue rejects new requests with
     /// [`Reject::QueueFull`] instead of buffering unboundedly.
     pub queue_cap: usize,
-    /// Oldest-request wait (milliseconds) that forces dispatch of a
-    /// partial batch. `0` means any queued request is immediately ready.
-    pub max_wait_ms: u64,
     /// Beam width floor: each request decodes at `max(beam, k)` so the
     /// top-K cut always comes from a full-width ranked list.
     pub beam: usize,
@@ -96,7 +94,6 @@ impl Default for ServeConfig {
         ServeConfig {
             max_batch: 8,
             queue_cap: 64,
-            max_wait_ms: 5,
             beam: 10,
             template: "recommend the next item".to_string(),
             max_hist_items: 8,
@@ -107,9 +104,9 @@ impl Default for ServeConfig {
 }
 
 impl ServeConfig {
-    /// Defaults overridden by the `LCREC_SERVE_BATCH`, `LCREC_SERVE_QUEUE`
-    /// and `LCREC_SERVE_WAIT_MS` environment variables (unset or
-    /// unparsable values keep the default; batch and queue clamp to ≥ 1).
+    /// Defaults overridden by the `LCREC_SERVE_BATCH` and
+    /// `LCREC_SERVE_QUEUE` environment variables (unset or unparsable
+    /// values keep the default; both clamp to ≥ 1).
     pub fn from_env() -> Self {
         let mut cfg = ServeConfig::default();
         if let Some(v) = env_usize(BATCH_ENV) {
@@ -117,9 +114,6 @@ impl ServeConfig {
         }
         if let Some(v) = env_usize(QUEUE_ENV) {
             cfg.queue_cap = v.max(1);
-        }
-        if let Some(v) = env_usize(WAIT_ENV) {
-            cfg.max_wait_ms = v as u64;
         }
         cfg
     }
@@ -260,8 +254,8 @@ struct Pending {
 /// Borrows a trained model's parts (LM, extended vocabulary, index trie) —
 /// the engine adds no model state of its own, only the admission queue.
 /// Requests go in via [`Engine::submit`]; batches come out as typed
-/// [`Outcome`]s via [`Engine::step_outcomes`] (policy-gated) or
-/// [`Engine::flush_outcomes`] (drain everything).
+/// [`Outcome`]s via [`Engine::step_outcomes`] (one batch) or
+/// [`Engine::flush_outcomes`] (every batch).
 ///
 /// # Examples
 ///
@@ -431,52 +425,31 @@ impl<'a> Engine<'a> {
             id,
             history: history.to_vec(),
             k,
-            enqueued: Instant::now(), // lint: allow(det, reason = "arrival timestamps drive deadline/latency bookkeeping only; decode outputs stay bit-identical (pinned by tests/serving.rs)")
+            enqueued: Instant::now(), // lint: allow(det, reason = "arrival timestamps feed only deadlines and latency_s, never dispatch or decode; outputs stay bit-identical (pinned by tests/serving.rs)")
             deadline_ms,
         });
         Ok(id)
     }
 
-    /// True when the batching policy would dispatch now: the queue holds a
-    /// full batch, or the oldest request has waited at least
-    /// [`ServeConfig::max_wait_ms`].
-    pub fn ready(&self) -> bool {
-        if self.queue.len() >= self.cfg.max_batch {
-            return true;
-        }
-        match self.queue.front() {
-            Some(oldest) => {
-                oldest.enqueued.elapsed().as_millis() as u64 >= self.cfg.max_wait_ms
-            }
-            None => false,
-        }
-    }
-
-    /// Dispatches **one** batch (the oldest `max_batch` requests) if the
-    /// policy says so and returns every request's typed [`Outcome`] —
-    /// completions and timeouts — in admission order, or an empty vector
-    /// when [`Engine::ready`] is false. Drive this from a serving loop;
+    /// Dispatches **one** batch — the oldest `min(queue_len, max_batch)`
+    /// requests, however few are queued — and returns every request's
+    /// typed [`Outcome`] (completions and timeouts) in admission order; an
+    /// empty queue returns an empty vector. Drive this from a serving loop;
     /// tests and offline use can call [`Engine::flush_outcomes`] instead.
     /// A caller that wants only the responses filters with
     /// [`Outcome::completed`].
     pub fn step_outcomes(&mut self) -> Vec<Outcome> {
-        if !self.ready() {
-            return Vec::new();
-        }
         let n = self.queue.len().min(self.cfg.max_batch);
         let batch: Vec<Pending> = self.queue.drain(..n).collect();
         self.dispatch(batch)
     }
 
-    /// Drains the whole queue in [`ServeConfig::max_batch`]-sized batches
-    /// (ignoring the wait policy) and returns every request's typed
+    /// Steps until the queue is empty and returns every request's typed
     /// [`Outcome`] — completions and timeouts — in admission order.
     pub fn flush_outcomes(&mut self) -> Vec<Outcome> {
         let mut out = Vec::new();
         while !self.queue.is_empty() {
-            let n = self.queue.len().min(self.cfg.max_batch);
-            let batch: Vec<Pending> = self.queue.drain(..n).collect();
-            out.extend(self.dispatch(batch));
+            out.extend(self.step_outcomes());
         }
         out
     }
@@ -634,27 +607,29 @@ mod tests {
     }
 
     #[test]
-    fn step_respects_batch_and_wait_policy() {
+    fn step_dispatches_whatever_is_queued() {
         let (lm, vocab, trie) = setup();
-        // A full batch dispatches immediately; a partial one only after
-        // the (here: effectively infinite) wait.
-        let cfg = ServeConfig { max_batch: 2, max_wait_ms: u64::MAX, ..ServeConfig::default() };
-        let mut engine = Engine::new(&lm, &vocab, &trie, cfg);
-        engine.submit(&[0], 2).expect("admitted");
-        assert!(!engine.ready(), "partial batch must wait");
+        let mut engine = Engine::new(&lm, &vocab, &trie, ServeConfig::default());
+        let max_batch = engine.config().max_batch;
+        // An empty queue resolves nothing.
         assert!(engine.step_outcomes().is_empty());
-        engine.submit(&[1], 2).expect("admitted");
-        assert!(engine.ready(), "full batch dispatches");
+        // A lone request resolves on the first step: nothing waits for
+        // company.
+        let id = engine.submit(&[0], 2).expect("admitted");
         let out = completed(engine.step_outcomes());
-        assert_eq!(out.len(), 2);
-        assert_eq!(out[0].batch_size, 2);
+        assert_eq!(out.iter().map(|r| (r.id, r.batch_size)).collect::<Vec<_>>(), vec![(id, 1)]);
         assert_eq!(engine.queue_len(), 0);
-        // max_wait_ms = 0: anything queued is immediately ready.
-        let cfg = ServeConfig { max_batch: 8, max_wait_ms: 0, ..ServeConfig::default() };
-        let mut engine = Engine::new(&lm, &vocab, &trie, cfg);
-        engine.submit(&[0], 1).expect("admitted");
-        assert!(engine.ready());
-        assert_eq!(completed(engine.step_outcomes()).len(), 1);
+        // max_batch + 3 queued requests: one full batch, then the 3 left.
+        let ids: Vec<u64> = (0..max_batch + 3)
+            .map(|i| engine.submit(&[i as u32 % 4], 2).expect("admitted"))
+            .collect();
+        let first = completed(engine.step_outcomes());
+        assert_eq!(first.iter().map(|r| r.id).collect::<Vec<_>>(), ids[..max_batch]);
+        assert!(first.iter().all(|r| r.batch_size == max_batch));
+        let rest = completed(engine.step_outcomes());
+        assert_eq!(rest.iter().map(|r| r.id).collect::<Vec<_>>(), ids[max_batch..]);
+        assert!(rest.iter().all(|r| r.batch_size == 3));
+        assert!(engine.step_outcomes().is_empty());
     }
 
     #[test]

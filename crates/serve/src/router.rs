@@ -502,7 +502,7 @@ impl<'a> Router<'a> {
     }
 
     /// Steps every shard once — draining engines are flushed to
-    /// completion, active engines dispatch at most one policy-gated batch
+    /// completion, active engines dispatch one batch of whatever is queued
     /// — and returns **every** terminal typed [`RouterOutcome`] this step
     /// produced. A timeout that still has hedge budget is re-dispatched
     /// internally instead of surfacing. A caller that wants only the

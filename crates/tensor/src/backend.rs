@@ -29,13 +29,9 @@
 //!   flip the sign bit of an all-zero accumulator, so the dense kernel
 //!   keeps every term.
 //!
-//! The active backend is resolved once per process from `LCREC_BACKEND`
-//! (`blocked` by default, `reference` to pin the anchor; documented in
-//! `docs/ENVIRONMENT.md`). Since both backends are bit-identical the switch
-//! can never change results — it exists so the benchmark suite and any
-//! future (e.g. SIMD-intrinsic) backend can be A/B'd under one flag.
-
-use std::sync::atomic::{AtomicU8, Ordering};
+//! Serving always runs [`BlockedBackend`] ([`active_backend`]): the two
+//! backends give the same bits, so a switch could only make decode slower.
+//! [`ReferenceBackend`] stays as the oracle the kernel tests compare against.
 
 /// Rows of a [`BlockedBackend`] register tile (a lone `k = 4` request is
 /// one tile high; 3/2/1-row tails run the same code).
@@ -68,7 +64,7 @@ const NR: usize = 32;
 /// ```
 pub trait InferenceBackend: std::fmt::Debug + Sync {
     /// A short stable identifier (`"reference"`, `"blocked"`), used in
-    /// bench reports and `LCREC_BACKEND`.
+    /// bench reports.
     fn name(&self) -> &'static str;
 
     /// `out += a @ b`, skipping zero elements of `a` — the exact contract
@@ -198,25 +194,8 @@ impl InferenceBackend for BlockedBackend {
     }
 }
 
-static REFERENCE: ReferenceBackend = ReferenceBackend;
-static BLOCKED: BlockedBackend = BlockedBackend;
-
-/// 0 = undecided, 1 = reference, 2 = blocked.
-static STATE: AtomicU8 = AtomicU8::new(0);
-
-/// Looks a backend up by its [`InferenceBackend::name`].
-pub fn backend_by_name(name: &str) -> Option<&'static dyn InferenceBackend> {
-    match name.trim() {
-        "reference" | "ref" => Some(&REFERENCE),
-        "blocked" => Some(&BLOCKED),
-        _ => None,
-    }
-}
-
-/// The process-wide inference backend, resolved once from `LCREC_BACKEND`
-/// (`blocked` unless the variable names another backend; unknown values
-/// keep the default). Both built-in backends are bit-identical, so the
-/// switch can never change decode results — only their speed.
+/// The inference backend the fused decode path runs: always
+/// [`BlockedBackend`], bit-identical to [`ReferenceBackend`] and faster.
 ///
 /// # Examples
 ///
@@ -224,7 +203,7 @@ pub fn backend_by_name(name: &str) -> Option<&'static dyn InferenceBackend> {
 /// use lcrec_tensor::active_backend;
 ///
 /// let backend = active_backend();
-/// assert!(matches!(backend.name(), "reference" | "blocked"));
+/// assert_eq!(backend.name(), "blocked");
 ///
 /// // The fused decode path drives the whole transformer step through
 /// // the two kernels on this handle:
@@ -233,26 +212,7 @@ pub fn backend_by_name(name: &str) -> Option<&'static dyn InferenceBackend> {
 /// assert_eq!(out[0], 2.0 * 3.0 + -1.0 * 0.25);
 /// ```
 pub fn active_backend() -> &'static dyn InferenceBackend {
-    match STATE.load(Ordering::Relaxed) {
-        1 => &REFERENCE,
-        2 => &BLOCKED,
-        _ => {
-            // The env string maps straight to a state code (mirroring
-            // `backend_by_name`'s table) rather than via a method call on
-            // the chosen `dyn` backend, which static panic analysis could
-            // not type precisely.
-            let code = match std::env::var("LCREC_BACKEND").ok().as_deref().map(str::trim) {
-                Some("reference") | Some("ref") => 1,
-                _ => 2,
-            };
-            STATE.store(code, Ordering::Relaxed);
-            if code == 1 {
-                &REFERENCE
-            } else {
-                &BLOCKED
-            }
-        }
-    }
+    &BlockedBackend
 }
 
 #[cfg(test)]
@@ -333,15 +293,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn lookup_and_active_backend() {
-        assert_eq!(backend_by_name("reference").map(|b| b.name()), Some("reference"));
-        assert_eq!(backend_by_name("ref").map(|b| b.name()), Some("reference"));
-        assert_eq!(backend_by_name("blocked").map(|b| b.name()), Some("blocked"));
-        assert!(backend_by_name("simd9000").is_none());
-        let active = active_backend().name();
-        assert!(active == "reference" || active == "blocked");
     }
 }

@@ -51,7 +51,7 @@ pub mod sanitize;
 pub mod serialize;
 mod tensor;
 
-pub use backend::{active_backend, backend_by_name, BlockedBackend, InferenceBackend, ReferenceBackend};
+pub use backend::{active_backend, BlockedBackend, InferenceBackend, ReferenceBackend};
 pub use graph::{Graph, Var};
 pub use optim::{AdamW, ParamId, ParamStore, Schedule, Sgd};
 pub use tensor::{

@@ -241,48 +241,6 @@ pub fn load_params(store: &mut ParamStore, r: &mut impl Read) -> io::Result<usiz
     Ok(restored)
 }
 
-/// [`save_params`] to a file, crash-safely: bytes land in a `.tmp`
-/// sibling first and only an atomic rename publishes them, so `path`
-/// always holds either the previous checkpoint or the complete new one —
-/// never a torn intermediate. Uses the ambient
-/// [`lcrec_fault::env_plan`] and default [`Backoff`].
-pub fn save_params_atomic(store: &ParamStore, path: &Path) -> io::Result<()> {
-    save_params_atomic_with(store, path, lcrec_fault::env_plan(), &Backoff::default())
-}
-
-/// [`save_params_atomic`] under an explicit fault plan and retry policy
-/// (the chaos suite injects torn writes here).
-pub fn save_params_atomic_with(
-    store: &ParamStore,
-    path: &Path,
-    plan: &FaultPlan,
-    backoff: &Backoff,
-) -> io::Result<()> {
-    write_atomic(path, &seal(params_payload(store)), plan, backoff)
-}
-
-fn write_atomic(path: &Path, bytes: &[u8], plan: &FaultPlan, backoff: &Backoff) -> io::Result<()> {
-    let mut tmp_name = path.as_os_str().to_os_string();
-    tmp_name.push(".tmp");
-    let tmp = std::path::PathBuf::from(tmp_name);
-    for _ in 0..backoff.max_attempts() {
-        if plan.should_fail(seams::CKPT_WRITE) {
-            // Simulated torn write: only a prefix reaches the temp file
-            // before the "crash". The published path is never touched, and
-            // the next attempt rewrites the temp file from scratch.
-            let n = plan.torn_len(seams::CKPT_WRITE, bytes.len());
-            std::fs::write(&tmp, &bytes[..n])?;
-            lcrec_obs::counter_add("ckpt.retries", 1);
-            continue;
-        }
-        std::fs::write(&tmp, bytes)?;
-        std::fs::rename(&tmp, path)?;
-        return Ok(());
-    }
-    let _ = std::fs::remove_file(&tmp);
-    Err(io::Error::other("checkpoint write retries exhausted (injected faults)"))
-}
-
 /// Exact byte length of the sealed checkpoint [`save_params`] would
 /// produce for `store` — computable without building it, which is what
 /// lets the streamed writer publish a torn-write-compatible length up
@@ -335,21 +293,23 @@ impl<W: Write> HashingWriter<W> {
     }
 }
 
-/// [`save_params_atomic`] with **memory-bounded streaming**: the payload
-/// is written straight to the `.tmp` sibling in ≤ `CHUNK`-byte pieces
-/// with an incrementally-computed trailer, so peak in-flight memory is
-/// O(one chunk) instead of O(whole checkpoint) — the difference between
-/// a few hundred MB and 64 KiB at the large LM tier. The bytes published
-/// are **bit-identical** to [`save_params`]'s (pinned in `tests/scale.rs`),
-/// and the staging-then-rename crash contract is unchanged. Uses the
-/// ambient [`lcrec_fault::env_plan`] and default [`Backoff`].
+/// [`save_params`] to a file, crash-safely: bytes land in a `.tmp`
+/// sibling first and only an atomic rename publishes them, so `path`
+/// always holds either the previous checkpoint or the complete new one —
+/// never a torn intermediate. The payload streams to the `.tmp` file in
+/// ≤ `CHUNK`-byte pieces with an incrementally-computed trailer, so peak
+/// in-flight memory is O(one chunk) instead of O(whole checkpoint) — the
+/// difference between a few hundred MB and 64 KiB at the large LM tier.
+/// The bytes published are **bit-identical** to [`save_params`]'s (pinned
+/// in `tests/scale.rs`). Uses the ambient [`lcrec_fault::env_plan`] and
+/// default [`Backoff`].
 pub fn save_params_file(store: &ParamStore, path: &Path) -> io::Result<()> {
     save_params_file_with(store, path, lcrec_fault::env_plan(), &Backoff::default())
 }
 
 /// [`save_params_file`] under an explicit fault plan and retry policy
-/// (the chaos suite injects torn writes here, through the same
-/// `ckpt.write` seam as the whole-buffer path).
+/// (the chaos suite injects torn writes here, through the `ckpt.write`
+/// seam).
 pub fn save_params_file_with(
     store: &ParamStore,
     path: &Path,
@@ -801,7 +761,7 @@ mod tests {
         // A transient plan at full rate: the burst cap keeps every write
         // recoverable within the default retry budget.
         let plan = FaultPlan::transient(7).with_rate(2);
-        save_params_atomic_with(&src, &path, &plan, &Backoff::default()).expect("atomic save");
+        save_params_file_with(&src, &path, &plan, &Backoff::default()).expect("atomic save");
         let bytes = std::fs::read(&path).expect("read back");
         let mut dst = sample_store(2);
         load_params(&mut dst, &mut bytes.as_slice()).expect("load");
@@ -814,7 +774,7 @@ mod tests {
         let one_try = Backoff::new(1, 1, 1);
         let mut failures = 0;
         for _ in 0..8 {
-            if save_params_atomic_with(&src, &path, &chaos, &one_try).is_err() {
+            if save_params_file_with(&src, &path, &chaos, &one_try).is_err() {
                 failures += 1;
             }
         }

@@ -181,4 +181,6 @@ fn env_reads_are_documented() {
         "env reads missing from docs/ENVIRONMENT.md:\n{}",
         missing.iter().map(|m| format!("  {m}\n")).collect::<String>()
     );
+    let unread = lcrec_analysis::envdoc::unread_env_rows(root);
+    assert!(unread.is_empty(), "docs/ENVIRONMENT.md rows nothing reads: {unread:?}");
 }

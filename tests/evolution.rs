@@ -20,7 +20,7 @@ use lc_rec::seqrec::{
     absorb_begin, absorb_tick, absorb_with, load_absorb_checkpoint, save_absorb_checkpoint,
     NextItemModel,
 };
-use lc_rec::tensor::serialize::{save_params, save_params_atomic_with};
+use lc_rec::tensor::serialize::{save_params, save_params_file_with};
 use lc_rec::text::Vocab;
 use lcrec_bench::setup::scale_lm_config;
 
@@ -61,7 +61,6 @@ fn direct_bits(
     let cfg = ServeConfig {
         max_batch: 4,
         queue_cap: reqs.len().max(1),
-        max_wait_ms: 0,
         ..ServeConfig::default()
     };
     let mut engine = Engine::new(lm, vocab, trie, cfg);
@@ -360,7 +359,6 @@ fn evolution_chaos_trace(
         shard: ServeConfig {
             max_batch: 4,
             queue_cap: pre.len() + post.len(),
-            max_wait_ms: 0,
             ..ServeConfig::default()
         },
         ..RouterConfig::default()
@@ -397,12 +395,12 @@ fn evolution_chaos_trace(
     // Checkpoint through the chaos seam: the published file must hold a
     // complete checkpoint whether or not the injected faults won.
     let clean = {
-        save_params_atomic_with(lm.store(), ckpt, &FaultPlan::disabled(), &Backoff::default())
+        save_params_file_with(lm.store(), ckpt, &FaultPlan::disabled(), &Backoff::default())
             .expect("clean write");
         std::fs::read(ckpt).expect("published checkpoint readable")
     };
     let plan = FaultPlan::chaos(seed).with_rate(3);
-    match save_params_atomic_with(lm.store(), ckpt, &plan, &Backoff::default()) {
+    match save_params_file_with(lm.store(), ckpt, &plan, &Backoff::default()) {
         Ok(()) => trace.push("ckpt: ok".to_string()),
         Err(e) => trace.push(format!("ckpt: {}", e.kind())),
     }

@@ -45,7 +45,7 @@ fn ranked_bits(ranked: &[lc_rec::core::Hypothesis]) -> Vec<(u32, u32)> {
 }
 
 fn shard_cfg(queue_cap: usize) -> ServeConfig {
-    ServeConfig { max_batch: 4, queue_cap, max_wait_ms: 0, ..ServeConfig::default() }
+    ServeConfig { max_batch: 4, queue_cap, ..ServeConfig::default() }
 }
 
 /// Routes `traffic` through a router at `shards` and returns each
@@ -118,12 +118,30 @@ fn rankings_are_bit_identical_across_shard_counts() {
 }
 
 #[test]
+fn a_lone_request_resolves_on_the_first_step() {
+    let (workload, vocab, trie) = catalog();
+    let lm = CausalLm::new(scale_lm_config(None, vocab.len()));
+    let mut router = Router::new(&lm, &vocab, &trie, RouterConfig::default());
+    assert!(router.step_outcomes().is_empty(), "an idle fleet resolves nothing");
+    let (user, hist) = traffic(&workload, 1).into_iter().next().expect("one request");
+    let ticket = router.submit(user, &hist, 5).expect("fleet has room");
+    // Default config, no clock: dispatch never waits for a batch to fill.
+    let outcomes = router.step_outcomes();
+    assert_eq!(outcomes.len(), 1);
+    assert_eq!(outcomes[0].id(), ticket);
+    let response = outcomes[0].clone().completed().expect("no deadline, no faults");
+    assert_eq!(response.batch_size, 1);
+    assert_eq!(router.pending_len(), 0);
+    assert_eq!(router.queue_depth(), 0);
+}
+
+#[test]
 fn all_shards_saturated_returns_typed_rejection_and_recovers() {
     let (workload, vocab, trie) = catalog();
     let lm = CausalLm::new(scale_lm_config(None, vocab.len()));
     let cfg = RouterConfig {
         shards: 2,
-        shard: ServeConfig { queue_cap: 1, max_wait_ms: u64::MAX, ..shard_cfg(1) },
+        shard: shard_cfg(1),
         ..RouterConfig::default()
     };
     let mut router = Router::new(&lm, &vocab, &trie, cfg);

@@ -345,7 +345,6 @@ fn small_tier_serving_is_bit_identical_across_batch_and_threads() {
         let cfg = ServeConfig {
             max_batch,
             queue_cap: histories.len(),
-            max_wait_ms: 0,
             ..ServeConfig::default()
         };
         let mut engine = Engine::with_pool(&lm, &vocab, &trie, cfg, Pool::new(threads));
