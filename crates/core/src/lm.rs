@@ -189,7 +189,10 @@ impl DecodeScratch {
     /// sequences — runs on: one per pool worker, as long as every lane
     /// carries at least `LANE_MIN_WORK` (rows × the model's parameter
     /// count). Decided from the step's own size, so a lone small request
-    /// never pays a spawn; `1` means the step runs inline.
+    /// never pays a spawn; `1` means the step runs inline. The constant
+    /// was re-measured under the committed `target-cpu=native` build and
+    /// held: cheaper projections moved break-even only from 4–5 to 4–6
+    /// rows.
     pub fn lanes_for(&self, parts: usize, rows: usize) -> usize {
         let by_work = rows.saturating_mul(self.row_work) / LANE_MIN_WORK;
         self.pool.threads().min(parts).min(by_work).max(1)
@@ -253,7 +256,11 @@ struct PrefillLane<'a> {
 /// per lane. With the threshold forced to 1, two lanes against one on that
 /// model read 0.93–1.10x at 4 rows, 0.87–1.25x at 6, 0.99–1.30x at 10 and
 /// 1.28–1.43x at 20: break-even stayed at 4–5 rows when the kernel
-/// changed, so the constant held. A lone request's `k = 4` rows (2.2 M)
+/// changed, so the constant held. It held again under the host-CPU build
+/// target: rows there cost 50–105 µs against 120–150 µs on the baseline
+/// target, but only the projections got wider, and two lanes read
+/// 0.78–1.12x at 4 rows, 0.87–1.37x at 6 and 1.19–1.30x at 10, so
+/// break-even sits at 4–6 rows. A lone request's `k = 4` rows (2.2 M)
 /// stay inline and six rows and up split. See
 /// [`DecodeScratch::lanes_for`] and docs/PERFORMANCE.md.
 const LANE_MIN_WORK: usize = 1_500_000;

@@ -197,8 +197,9 @@ impl ItemIndices {
 /// hot path ([`IndexTrie::allowed_slice`]) is then a two-array walk ending
 /// in a borrowed slice — no hashing, no per-call allocation, no sort —
 /// and lookups are cache-friendly binary searches over tiny spans (see
-/// `docs/PERFORMANCE.md`). [`PointerTrie`] keeps the original
-/// pointer-per-node structure as the differential-testing reference.
+/// `docs/PERFORMANCE.md`). The original pointer-per-node structure
+/// survives in `tests/support/pointer_trie.rs` as the differential-testing
+/// reference.
 ///
 /// # Examples
 ///
@@ -237,8 +238,7 @@ pub struct IndexTrie {
 impl IndexTrie {
     /// Builds the trie from a set of item indices. When several items
     /// share a full index (a conflict USM is meant to eliminate), the
-    /// lowest item id stays bound to the leaf — the same first-insert-wins
-    /// rule as [`PointerTrie::build`].
+    /// lowest item id stays bound to the leaf (first insert wins).
     pub fn build(indices: &ItemIndices) -> Self {
         let paths: Vec<(Vec<u16>, u32)> = indices
             .codes
@@ -496,95 +496,6 @@ impl IndexTrieBuilder {
         t.edge_child.shrink_to_fit();
         t.items.shrink_to_fit();
         self.trie
-    }
-}
-
-/// The original pointer-per-node prefix trie, kept as the **reference
-/// implementation** for differential testing of the arena [`IndexTrie`]
-/// (`tests/decode.rs` checks node-for-node equivalence on randomized ID
-/// sets). Not used on any hot path.
-#[derive(Debug)]
-pub struct PointerTrie {
-    levels: usize,
-    /// node → (code → child node id); leaves store item ids in `items`.
-    children: Vec<HashMap<u16, usize>>,
-    items: Vec<Option<u32>>,
-}
-
-impl PointerTrie {
-    /// Builds the trie from a set of item indices (first-insert-wins on
-    /// conflicting full indices, like [`IndexTrie::build`]).
-    pub fn build(indices: &ItemIndices) -> Self {
-        let mut trie = PointerTrie {
-            levels: indices.levels,
-            children: vec![HashMap::new()],
-            items: vec![None],
-        };
-        for (item, codes) in indices.codes.iter().enumerate() {
-            trie.insert(codes, item as u32);
-        }
-        trie
-    }
-
-    /// Inserts one full code path, keeping the first item bound to it.
-    fn insert(&mut self, codes: &[u16], item: u32) {
-        let mut node = 0usize;
-        for &c in codes {
-            let next = match self.children[node].get(&c) { // lint: allow(panic, reason = "node is 0 (created in build) or a child id stored when that node was pushed, so it is always < children.len()")
-                Some(&n) => n,
-                None => {
-                    self.children.push(HashMap::new());
-                    self.items.push(None);
-                    let id = self.children.len() - 1;
-                    self.children[node].insert(c, id); // lint: allow(panic, reason = "node predates the push above, so it stays in bounds after the vec grew")
-                    id
-                }
-            };
-            node = next;
-        }
-        if self.items[node].is_none() { // lint: allow(panic, reason = "items grows in lockstep with children, so every node id indexes both")
-            self.items[node] = Some(item); // lint: allow(panic, reason = "items grows in lockstep with children, so every node id indexes both")
-        }
-    }
-
-    /// Number of index levels.
-    pub fn levels(&self) -> usize {
-        self.levels
-    }
-
-    /// The node reached by `prefix`, if it exists.
-    fn node_at(&self, prefix: &[u16]) -> Option<usize> {
-        let mut node = 0usize;
-        for c in prefix {
-            node = *self.children.get(node)?.get(c)?;
-        }
-        Some(node)
-    }
-
-    /// Legal next codes after `prefix`, ascending (empty if the prefix is
-    /// illegal or complete).
-    pub fn allowed(&self, prefix: &[u16]) -> Vec<u16> {
-        match self.node_at(prefix).and_then(|n| self.children.get(n)) {
-            Some(next) => {
-                let mut v: Vec<u16> = next.keys().copied().collect();
-                v.sort_unstable();
-                v
-            }
-            None => Vec::new(),
-        }
-    }
-
-    /// The item whose full index is `codes`, if any.
-    pub fn item_at(&self, codes: &[u16]) -> Option<u32> {
-        if codes.len() != self.levels {
-            return None;
-        }
-        self.node_at(codes).and_then(|n| self.items.get(n).copied().flatten())
-    }
-
-    /// Total node count (diagnostics / differential tests).
-    pub fn num_nodes(&self) -> usize {
-        self.children.len()
     }
 }
 

@@ -29,6 +29,16 @@
 //!   flip the sign bit of an all-zero accumulator, so the dense kernel
 //!   keeps every term.
 //!
+//! The contracts differ only where `a` holds a zero, so
+//! [`BlockedBackend`]'s `gemm_acc` scans `a` once (O(M·K) against
+//! O(M·K·N) of work) and runs a zero-free `a` through the dense
+//! instantiation of the tile: same bits, and no per-(row, `k`) branch
+//! in the inner loop. SwiGLU and RMSNorm outputs are essentially never
+//! exactly zero, so almost every projection of a decode step takes it.
+//! The repository builds for the host CPU (`.cargo/config.toml`); the
+//! branch-free tile is what lets the wide registers that target brings
+//! pay off.
+//!
 //! Serving always runs [`BlockedBackend`] ([`active_backend`]): the two
 //! backends give the same bits, so a switch could only make decode slower.
 //! [`ReferenceBackend`] stays as the oracle the kernel tests compare against.
@@ -36,8 +46,13 @@
 /// Rows of a [`BlockedBackend`] register tile (a lone `k = 4` request is
 /// one tile high; 3/2/1-row tails run the same code).
 const MR: usize = 4;
-/// Columns of a tile: wide enough to amortise `gemm_acc`'s per-(row, `k`)
-/// zero test. 4 x 32 was best or within 10% of it on every model shape.
+/// Columns of a tile: wide enough to amortise the skipping kernel's
+/// per-(row, `k`) zero test. 4 x 32 was best or within 10% of it on every
+/// model shape under the baseline target. Under the committed host-CPU
+/// target (AVX-512 on the benchmark box: eight registers) an alternating
+/// probe of the branch-free tile kept it: 6 x 32 was within 5% from 40
+/// rows up but 12% slower at 20, and from 20 rows up 8 x 32, 4 x 64 and
+/// 2 x 64 were 19–48% slower (docs/PERFORMANCE.md, "Roofline").
 const NR: usize = 32;
 
 /// Raw matrix kernels behind the KV-cached inference fast path.
@@ -119,9 +134,10 @@ pub struct BlockedBackend;
 
 impl BlockedBackend {
     /// `out[.., j0..j0 + NR] += a @ b[.., j0..j0 + NR]` for the `R` rows
-    /// `a` (`[R, k]`) and `out` (`[R, n]`) hold.
+    /// `a` (`[R, k]`) and `out` (`[R, n]`) hold; `SKIP_ZERO` selects the
+    /// contract, and the dense instantiation has no branch at all.
     #[inline]
-    fn tile<const R: usize>(a: &[f32], b: &[f32], out: &mut [f32], k: usize, n: usize, j0: usize, skip_zero: bool) {
+    fn tile<const R: usize, const SKIP_ZERO: bool>(a: &[f32], b: &[f32], out: &mut [f32], k: usize, n: usize, j0: usize) {
         let mut acc = [[0.0f32; NR]; R];
         for (accr, orow) in acc.iter_mut().zip(out.chunks_exact(n)) {
             accr.copy_from_slice(&orow[j0..j0 + NR]); // lint: allow(panic, reason = "j0 + NR <= n: the caller only tiles the whole NR-column strips of an n-wide row")
@@ -130,7 +146,7 @@ impl BlockedBackend {
             let bseg = &brow[j0..j0 + NR]; // lint: allow(panic, reason = "j0 + NR <= n: the caller only tiles the whole NR-column strips of an n-wide row")
             for (accr, arow) in acc.iter_mut().zip(a.chunks_exact(k)) {
                 let av = arow[kk]; // lint: allow(panic, reason = "kk enumerates the k rows of b and every a row is k long")
-                if skip_zero && av == 0.0 {
+                if SKIP_ZERO && av == 0.0 {
                     continue;
                 }
                 for (o, &bv) in accr.iter_mut().zip(bseg) {
@@ -144,7 +160,7 @@ impl BlockedBackend {
     }
 
     #[inline]
-    fn gemm_tiled(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize, skip_zero: bool) {
+    fn gemm_tiled<const SKIP_ZERO: bool>(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
         debug_assert_eq!(a.len(), m * k);
         debug_assert_eq!(b.len(), k * n);
         debug_assert_eq!(out.len(), m * n);
@@ -155,10 +171,10 @@ impl BlockedBackend {
         for j0 in (0..tiled).step_by(NR) {
             for (ablk, oblk) in a.chunks(MR * k).zip(out.chunks_mut(MR * n)) {
                 match ablk.len() / k {
-                    1 => Self::tile::<1>(ablk, b, oblk, k, n, j0, skip_zero),
-                    2 => Self::tile::<2>(ablk, b, oblk, k, n, j0, skip_zero),
-                    3 => Self::tile::<3>(ablk, b, oblk, k, n, j0, skip_zero),
-                    _ => Self::tile::<MR>(ablk, b, oblk, k, n, j0, skip_zero),
+                    1 => Self::tile::<1, SKIP_ZERO>(ablk, b, oblk, k, n, j0),
+                    2 => Self::tile::<2, SKIP_ZERO>(ablk, b, oblk, k, n, j0),
+                    3 => Self::tile::<3, SKIP_ZERO>(ablk, b, oblk, k, n, j0),
+                    _ => Self::tile::<MR, SKIP_ZERO>(ablk, b, oblk, k, n, j0),
                 }
             }
         }
@@ -167,7 +183,7 @@ impl BlockedBackend {
             for (arow, orow) in a.chunks_exact(k).zip(out.chunks_exact_mut(n)) {
                 let oseg = &mut orow[tiled..]; // lint: allow(panic, reason = "tiled <= n, the row's length")
                 for (&av, brow) in arow.iter().zip(b.chunks_exact(n)) {
-                    if skip_zero && av == 0.0 {
+                    if SKIP_ZERO && av == 0.0 {
                         continue;
                     }
                     let bseg = &brow[tiled..]; // lint: allow(panic, reason = "tiled <= n, the row's length")
@@ -186,11 +202,17 @@ impl InferenceBackend for BlockedBackend {
     }
 
     fn gemm_acc(&self, a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-        BlockedBackend::gemm_tiled(a, b, out, m, k, n, true);
+        // `== 0.0` also matches `-0.0`. With no zero in `a` the skip has
+        // nothing to skip, so the branch-free tile gives the same bits.
+        if a.contains(&0.0) {
+            BlockedBackend::gemm_tiled::<true>(a, b, out, m, k, n);
+        } else {
+            BlockedBackend::gemm_tiled::<false>(a, b, out, m, k, n);
+        }
     }
 
     fn gemm_dense_acc(&self, a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-        BlockedBackend::gemm_tiled(a, b, out, m, k, n, false);
+        BlockedBackend::gemm_tiled::<false>(a, b, out, m, k, n);
     }
 }
 
@@ -220,21 +242,45 @@ mod tests {
     use super::*;
 
     /// Deterministic pseudo-random fill (xorshift; no external RNG here).
+    /// Without `with_zeros` no value is exactly zero.
     fn fill(seed: &mut u64, out: &mut [f32], with_zeros: bool) {
         for v in out {
             *seed ^= *seed << 13;
             *seed ^= *seed >> 7;
             *seed ^= *seed << 17;
-            let r = ((*seed >> 16) & 0xffff) as f32 / 65536.0 - 0.5;
+            let r = (((*seed >> 16) & 0xffff) as f32 + 0.5) / 65536.0 - 0.5;
             *v = if with_zeros && (*seed & 7) == 0 { 0.0 } else { r };
         }
     }
 
+    /// What a [`tile_cases`] sweep puts into `a`, and so which path of
+    /// `BlockedBackend::gemm_acc` it drives.
+    #[derive(Clone, Copy, Debug)]
+    enum Activations {
+        /// Scattered zeros, one `-0.0`, row 1 all zero (over an all-`-0.0`
+        /// `out` row, which only the skipping kernel leaves so).
+        Zeros,
+        /// No zero anywhere: the branch-free path.
+        ZeroFree,
+        /// Zero-free but for a lone `-0.0` at `a[0]`, over an all-`-0.0`
+        /// `out` row 0: still the skipping path. At `k = 1` skipping and
+        /// not skipping give different bits there.
+        LoneNegZero,
+        /// Zero-free, with NaN, `+inf` and `-inf` leading rows in turn: one
+        /// per row, so no `inf - inf` makes a NaN of its own.
+        NonFinite,
+    }
+
+    const ACTIVATIONS: [Activations; 4] =
+        [Activations::Zeros, Activations::ZeroFree, Activations::LoneNegZero, Activations::NonFinite];
+
+    /// `(m, k, n, a, b, out)`.
+    type Case = (usize, usize, usize, Vec<f32>, Vec<f32>, Vec<f32>);
+
     /// Every tile shape: full tiles, each row tail (M mod MR) and column
-    /// tails on both sides of NR, as `(m, k, n, a, b, out)` with
-    /// zero-bearing `a` (one `-0.0`; row 1 all zero) and a non-zero `out`
-    /// (row 1 all `-0.0`, which only the zero-skipping kernel leaves so).
-    fn tile_cases() -> Vec<(usize, usize, usize, Vec<f32>, Vec<f32>, Vec<f32>)> {
+    /// tails on both sides of NR, as `(m, k, n, a, b, out)` with `a` as
+    /// `acts` says, a zero-free `b` and a non-zero `out`.
+    fn tile_cases(acts: Activations) -> Vec<Case> {
         let mut seed = 42u64;
         let mut cases = Vec::new();
         for m in 1..=9usize {
@@ -243,14 +289,29 @@ mod tests {
                     let mut a = vec![0.0f32; m * k];
                     let mut b = vec![0.0f32; k * n];
                     let mut out = vec![0.0f32; m * n];
-                    fill(&mut seed, &mut a, true);
+                    fill(&mut seed, &mut a, matches!(acts, Activations::Zeros));
                     fill(&mut seed, &mut b, false);
                     fill(&mut seed, &mut out, false);
-                    if m > 1 {
-                        a[k..2 * k].fill(0.0);
-                        out[n..2 * n].fill(-0.0);
+                    match acts {
+                        Activations::Zeros => {
+                            if m > 1 {
+                                a[k..2 * k].fill(0.0);
+                                out[n..2 * n].fill(-0.0);
+                            }
+                            a[k / 2] = -0.0;
+                        }
+                        Activations::ZeroFree => {}
+                        Activations::LoneNegZero => {
+                            a[0] = -0.0;
+                            out[..n].fill(-0.0);
+                        }
+                        Activations::NonFinite => {
+                            let specials = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY];
+                            for (row, &v) in a.chunks_exact_mut(k).zip(specials.iter().cycle()) {
+                                row[0] = v;
+                            }
+                        }
                     }
-                    a[k / 2] = -0.0;
                     cases.push((m, k, n, a, b, out));
                 }
             }
@@ -264,15 +325,22 @@ mod tests {
 
     #[test]
     fn blocked_matches_reference_bit_for_bit() {
-        for (m, k, n, a, b, out) in tile_cases() {
-            let (mut r1, mut r2) = (out.clone(), out.clone());
-            ReferenceBackend.gemm_acc(&a, &b, &mut r1, m, k, n);
-            BlockedBackend.gemm_acc(&a, &b, &mut r2, m, k, n);
-            assert_eq!(bits(&r1), bits(&r2), "gemm_acc {m}x{k}x{n}");
-            let (mut d1, mut d2) = (out.clone(), out);
-            ReferenceBackend.gemm_dense_acc(&a, &b, &mut d1, m, k, n);
-            BlockedBackend.gemm_dense_acc(&a, &b, &mut d2, m, k, n);
-            assert_eq!(bits(&d1), bits(&d2), "gemm_dense_acc {m}x{k}x{n}");
+        for acts in ACTIVATIONS {
+            for (m, k, n, a, b, out) in tile_cases(acts) {
+                let (mut r1, mut r2) = (out.clone(), out.clone());
+                ReferenceBackend.gemm_acc(&a, &b, &mut r1, m, k, n);
+                BlockedBackend.gemm_acc(&a, &b, &mut r2, m, k, n);
+                assert_eq!(bits(&r1), bits(&r2), "gemm_acc {acts:?} {m}x{k}x{n}");
+                if matches!(acts, Activations::LoneNegZero) && k == 1 {
+                    // A dense kernel would add `-0.0 * w`, turning every
+                    // column with a negative weight to `+0.0`.
+                    assert!(r2[..n].iter().all(|v| v.to_bits() == (-0.0f32).to_bits()), "{m}x{k}x{n}");
+                }
+                let (mut d1, mut d2) = (out.clone(), out);
+                ReferenceBackend.gemm_dense_acc(&a, &b, &mut d1, m, k, n);
+                BlockedBackend.gemm_dense_acc(&a, &b, &mut d2, m, k, n);
+                assert_eq!(bits(&d1), bits(&d2), "gemm_dense_acc {acts:?} {m}x{k}x{n}");
+            }
         }
     }
 
@@ -280,7 +348,7 @@ mod tests {
     fn dense_kernel_matches_scalar_dot_bit_for_bit() {
         // The LM head contract: one output element == the scalar loop,
         // started from the element's initial value.
-        for (m, k, n, a, b, init) in tile_cases() {
+        for (m, k, n, a, b, init) in ACTIVATIONS.into_iter().flat_map(tile_cases) {
             let mut out = init.clone();
             BlockedBackend.gemm_dense_acc(&a, &b, &mut out, m, k, n);
             for i in 0..m {

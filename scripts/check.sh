@@ -42,15 +42,22 @@
 #      `advance_batch_fused`, `prefill_batch_fused`,
 #      `multi_constrained_beam_search_scratch`, `Router`, …) fails the
 #      build here, and a wrong ranking fails its answer check;
-#  11. the dependency-free analysis passes (see docs/ANALYSIS.md): lint,
+#  11. a portable-target leg: `.cargo/config.toml` builds for the host CPU
+#      (`target-cpu=native`), and `RUSTFLAGS="-C target-cpu=x86-64"`
+#      overrides it. Under that flag, in its own target dir, the kernel
+#      unit tests and tests/{decode,golden,properties}.rs run, then
+#      `full --smoke` — whose `ranking_checksum` lines must equal the
+#      native run's of stage 10, so the bit-identity contract is also
+#      checked on the build nobody runs by default;
+#  12. the dependency-free analysis passes (see docs/ANALYSIS.md): lint,
 #      call-graph panic reachability (panicscan), determinism hazards
 #      (detlint), public-API doc coverage and the env-var documentation
 #      gate; and
-#  12. a warning-free `cargo doc` build of the whole workspace.
+#  13. a warning-free `cargo doc` build of the whole workspace.
 #
 # Usage: scripts/check.sh [analysis-only|scale-tests-only]
 #
-#   analysis-only     run only stage 11 (seconds instead of minutes) — the
+#   analysis-only     run only stage 12 (seconds instead of minutes) — the
 #                     right loop when iterating on lint annotations or on
 #                     the analysis passes themselves.
 #   scale-tests-only  run only the scale-invariance suite (tests/scale.rs)
@@ -156,7 +163,20 @@ fi
 echo "== benchmark (crate tests + full --smoke) =="
 cargo test --release --offline --quiet --manifest-path benchmark/Cargo.toml
 cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
-  full --smoke --out-dir target/check-benchmark > /dev/null
+  full --smoke --out-dir target/check-benchmark | grep ranking_checksum > target/check-benchmark.sums
+
+echo "== portable target (RUSTFLAGS=\"-C target-cpu=x86-64\") =="
+portable=(env RUSTFLAGS="-C target-cpu=x86-64")
+"${portable[@]}" cargo test --quiet --target-dir target/portable -p lcrec-tensor --lib
+"${portable[@]}" cargo test --quiet --target-dir target/portable \
+  --test decode --test golden --test properties
+"${portable[@]}" cargo run --release --offline --quiet --target-dir target/portable \
+  --manifest-path benchmark/Cargo.toml -- full --smoke --out-dir target/check-benchmark-portable \
+  | grep ranking_checksum > target/check-benchmark-portable.sums
+if ! diff target/check-benchmark.sums target/check-benchmark-portable.sums; then
+  echo "portable target: ranking_checksum differs from the native build" >&2
+  exit 1
+fi
 
 run_analysis
 

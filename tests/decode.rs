@@ -4,6 +4,9 @@
 //! size and thread count, with the arena trie node-for-node equivalent to
 //! the pointer-node reference implementation on randomized ID sets.
 
+#[path = "support/pointer_trie.rs"]
+mod pointer_trie;
+
 use lc_rec::core::lm::log_softmax_pick;
 use lc_rec::core::{
     constrained_beam_search_graph, constrained_beam_search_with,
@@ -11,9 +14,10 @@ use lc_rec::core::{
 };
 use lc_rec::data::Seg;
 use lc_rec::par::Pool;
-use lc_rec::rqvae::{IndexTrie, ItemIndices, PointerTrie};
+use lc_rec::rqvae::{IndexTrie, ItemIndices};
 use lc_rec::tensor::{BlockedBackend, InferenceBackend, ReferenceBackend};
 use lc_rec::text::Vocab;
+use pointer_trie::PointerTrie;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeSet;

@@ -14,10 +14,13 @@
 //! * the arena `IndexTrie` matches the pointer reference node-for-node on
 //!   a 50k-item synthetic vocabulary, including text round-trips.
 
+#[path = "support/pointer_trie.rs"]
+mod pointer_trie;
+
 use lc_rec::core::{CausalLm, ExtendedVocab, LmConfig};
 use lc_rec::data::{ScaleConfig, ScaleError, ZipfSampler};
 use lc_rec::par::Pool;
-use lc_rec::rqvae::{IndexTrie, ItemIndices, PointerTrie};
+use lc_rec::rqvae::{IndexTrie, ItemIndices};
 use lc_rec::serve::{Engine, Outcome, ServeConfig};
 use lc_rec::tensor::serialize::{
     load_params, load_params_file, params_sealed_len, save_params, save_params_file,
@@ -26,6 +29,7 @@ use lc_rec::tensor::ParamStore;
 use lc_rec::text::Vocab;
 use lcrec_bench::setup::scale_lm_config;
 use lcrec_bench::ScaleTier;
+use pointer_trie::PointerTrie;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Mutex;
