@@ -42,7 +42,6 @@ pub const ENV_GATE_FILES: &[&str] = &[
     "crates/fault/src/lib.rs",
     "crates/obs/src/lib.rs",
     "crates/par/src/lib.rs",
-    "crates/serve/src/lib.rs",
     "crates/tensor/src/sanitize.rs",
 ];
 

@@ -10,7 +10,7 @@
 //!    `env::var`, and
 //! 2. named constants — a `LCREC_*` string literal in a `const *_ENV`
 //!    declaration (the workspace convention for indirect reads such as
-//!    `Pool::from_env` / `ServeConfig::from_env`).
+//!    `Pool::from_env` / `FaultPlan::from_env`).
 //!
 //! Anything found is diffed against the variable names mentioned anywhere
 //! in the documentation; an undocumented read fails the gate
@@ -226,7 +226,7 @@ let msg = "LCREC_NOT_A_READ";
         assert_eq!(unread_env_rows(root), Vec::<String>::new(), "rows nothing reads");
         // Sanity: the scanner actually sees the known reads.
         let all = env_reads_workspace(root);
-        for expected in ["LCREC_THREADS", "LCREC_OBS", "LCREC_SANITIZE", "LCREC_SERVE_BATCH"] {
+        for expected in ["LCREC_THREADS", "LCREC_OBS", "LCREC_SANITIZE", "LCREC_FAULT"] {
             assert!(
                 all.iter().any(|r| r.var == expected),
                 "scanner lost track of {expected}; found: {all:?}"

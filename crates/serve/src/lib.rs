@@ -30,17 +30,15 @@
 //! Dispatch is work-conserving: [`Engine::step_outcomes`] decodes whatever
 //! is queued, since a batch runs to completion on the caller's thread and
 //! requests arriving meanwhile queue up for the next one anyway. Batching
-//! knobs come from [`ServeConfig`] or the `LCREC_SERVE_BATCH` and
-//! `LCREC_SERVE_QUEUE` environment variables (documented in
-//! `docs/ENVIRONMENT.md`). Fault injection for the chaos
-//! suite is wired through [`lcrec_fault::FaultPlan`] (`LCREC_FAULT`,
-//! default off).
+//! knobs are the fields of [`ServeConfig`], set in code. Fault injection
+//! for the chaos suite is wired through [`lcrec_fault::FaultPlan`]
+//! (`LCREC_FAULT`, default off).
 
 #![warn(missing_docs)]
 
 pub mod router;
 
-pub use router::{Ring, Router, RouterConfig, RouterOutcome, RouterReject, HEDGE_ENV, SHARDS_ENV};
+pub use router::{Ring, Router, RouterConfig, RouterOutcome, RouterReject};
 
 use lcrec_core::{
     multi_constrained_beam_search_scratch, CausalLm, DecodeScratch, ExtendedVocab, Hypothesis,
@@ -53,11 +51,6 @@ use lcrec_rqvae::IndexTrie;
 use std::collections::VecDeque;
 use std::fmt;
 use std::time::Instant;
-
-/// Environment variable overriding [`ServeConfig::max_batch`].
-pub const BATCH_ENV: &str = "LCREC_SERVE_BATCH";
-/// Environment variable overriding [`ServeConfig::queue_cap`].
-pub const QUEUE_ENV: &str = "LCREC_SERVE_QUEUE";
 
 /// Batching and admission policy for an [`Engine`].
 #[derive(Clone, Debug)]
@@ -101,29 +94,6 @@ impl Default for ServeConfig {
             shed_watermark: None,
         }
     }
-}
-
-impl ServeConfig {
-    /// Defaults overridden by the `LCREC_SERVE_BATCH` and
-    /// `LCREC_SERVE_QUEUE` environment variables (unset or unparsable
-    /// values keep the default; both clamp to ≥ 1).
-    pub fn from_env() -> Self {
-        let mut cfg = ServeConfig::default();
-        if let Some(v) = env_usize(BATCH_ENV) {
-            cfg.max_batch = v.max(1);
-        }
-        if let Some(v) = env_usize(QUEUE_ENV) {
-            cfg.queue_cap = v.max(1);
-        }
-        cfg
-    }
-}
-
-/// Shared env-var parsing for this crate's gate module (`detlint` allows
-/// environment reads only here, so [`router::RouterConfig::from_env`]
-/// calls back into this helper).
-pub(crate) fn env_usize(name: &str) -> Option<usize> {
-    std::env::var(name).ok().and_then(|v| v.trim().parse::<usize>().ok())
 }
 
 /// Why a request was not admitted. Returned by [`Engine::submit`] so
@@ -241,12 +211,36 @@ pub struct Response {
     pub batch_size: usize,
 }
 
-struct Pending {
+/// The model parts a request decodes against: one snapshot generation.
+#[derive(Clone, Copy, Debug)]
+struct Parts<'a> {
+    lm: &'a CausalLm,
+    vocab: &'a ExtendedVocab,
+    trie: &'a IndexTrie,
+}
+
+impl Parts<'_> {
+    /// See [`Engine::render_prompt`].
+    fn prompt_for(&self, cfg: &ServeConfig, history: &[u32]) -> Vec<u32> {
+        let capped = if history.len() > cfg.max_hist_items {
+            &history[history.len() - cfg.max_hist_items..] // lint: allow(panic, reason = "the branch guard makes the start offset at most history.len()")
+        } else {
+            history
+        };
+        let segs = [Seg::Text(cfg.template.clone()), Seg::Items(capped.to_vec())];
+        self.vocab.render_prompt(&segs, self.lm.config().max_seq)
+    }
+}
+
+struct Pending<'a> {
     id: u64,
     history: Vec<u32>,
     k: usize,
     enqueued: Instant,
     deadline_ms: Option<u64>,
+    /// The snapshot generation the request was admitted under, and its parts.
+    gen: u64,
+    parts: Parts<'a>,
 }
 
 /// The batched inference engine.
@@ -256,6 +250,11 @@ struct Pending {
 /// Requests go in via [`Engine::submit`]; batches come out as typed
 /// [`Outcome`]s via [`Engine::step_outcomes`] (one batch) or
 /// [`Engine::flush_outcomes`] (every batch).
+///
+/// Each queued request carries the parts it was admitted under, tagged
+/// with a snapshot generation. A [`Router`] hot swap points new admissions
+/// at new parts and starts a new generation; requests already queued
+/// still decode against their own, and no batch spans two generations.
 ///
 /// # Examples
 ///
@@ -285,23 +284,24 @@ struct Pending {
 /// ```
 #[derive(Debug)]
 pub struct Engine<'a> {
-    lm: &'a CausalLm,
-    vocab: &'a ExtendedVocab,
-    trie: &'a IndexTrie,
+    /// The parts new admissions decode against.
+    parts: Parts<'a>,
+    /// Snapshot generation of `parts`; bumped by every swap.
+    gen: u64,
     cfg: ServeConfig,
     pool: Pool,
-    queue: VecDeque<Pending>,
+    queue: VecDeque<Pending<'a>>,
     next_id: u64,
     plan: FaultPlan,
     backoff: Backoff,
     /// Decode buffers + the cached LM-head transpose, reused across every
-    /// dispatched batch. Safe for the engine's whole lifetime: it borrows
-    /// the LM immutably, so the parameters the scratch snapshotted cannot
-    /// change while the engine exists.
+    /// dispatched batch. The transpose is only valid for `scratch_lm`, so
+    /// a batch over any other LM rebuilds the scratch first.
     scratch: DecodeScratch,
+    scratch_lm: &'a CausalLm,
 }
 
-impl fmt::Debug for Pending {
+impl fmt::Debug for Pending<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Pending").field("id", &self.id).field("k", &self.k).finish()
     }
@@ -331,9 +331,8 @@ impl<'a> Engine<'a> {
         assert!(cfg.queue_cap >= 1, "queue_cap must be at least 1");
         assert!(cfg.beam >= 1, "beam must be at least 1");
         Engine {
-            lm,
-            vocab,
-            trie,
+            parts: Parts { lm, vocab, trie },
+            gen: 0,
             cfg,
             pool,
             queue: VecDeque::new(),
@@ -341,6 +340,7 @@ impl<'a> Engine<'a> {
             plan: FaultPlan::from_env(),
             backoff: Backoff::default(),
             scratch: lm.new_scratch(),
+            scratch_lm: lm,
         }
     }
 
@@ -403,11 +403,26 @@ impl<'a> Engine<'a> {
         k: usize,
         deadline_ms: Option<u64>,
     ) -> Result<u64, Reject> {
+        let id = self.next_id;
+        self.submit_as(id, history, k, deadline_ms)?;
+        self.next_id += 1;
+        Ok(id)
+    }
+
+    /// Admits a request under a ticket the caller chose: the [`Router`]
+    /// passes its fleet ticket, so this engine's outcomes already carry it.
+    pub(crate) fn submit_as(
+        &mut self,
+        id: u64,
+        history: &[u32],
+        k: usize,
+        deadline_ms: Option<u64>,
+    ) -> Result<(), Reject> {
         if k == 0 {
             lcrec_obs::counter_add("serve.rejected", 1);
             return Err(Reject::InvalidK { k });
         }
-        let k = k.min(self.vocab.indices().len());
+        let k = k.min(self.parts.vocab.indices().len());
         if self.queue.len() >= self.cfg.queue_cap {
             lcrec_obs::counter_add("serve.rejected", 1);
             return Err(Reject::QueueFull { capacity: self.cfg.queue_cap });
@@ -418,8 +433,6 @@ impl<'a> Engine<'a> {
             lcrec_obs::counter_add("serve.shed", 1);
             return Err(Reject::Shed { queued: self.queue.len() });
         }
-        let id = self.next_id;
-        self.next_id += 1;
         lcrec_obs::counter_add("serve.requests", 1);
         self.queue.push_back(Pending {
             id,
@@ -427,21 +440,36 @@ impl<'a> Engine<'a> {
             k,
             enqueued: Instant::now(), // lint: allow(det, reason = "arrival timestamps feed only deadlines and latency_s, never dispatch or decode; outputs stay bit-identical (pinned by tests/serving.rs)")
             deadline_ms,
+            gen: self.gen,
+            parts: self.parts,
         });
-        Ok(id)
+        Ok(())
     }
 
-    /// Dispatches **one** batch — the oldest `min(queue_len, max_batch)`
-    /// requests, however few are queued — and returns every request's
-    /// typed [`Outcome`] (completions and timeouts) in admission order; an
-    /// empty queue returns an empty vector. Drive this from a serving loop;
-    /// tests and offline use can call [`Engine::flush_outcomes`] instead.
-    /// A caller that wants only the responses filters with
+    /// Points new admissions at new parts and starts a new snapshot
+    /// generation. Queued requests keep the parts they were admitted
+    /// under; the decode scratch follows the LM at the next batch.
+    pub(crate) fn swap(&mut self, lm: &'a CausalLm, vocab: &'a ExtendedVocab, trie: &'a IndexTrie) {
+        self.parts = Parts { lm, vocab, trie };
+        self.gen += 1;
+    }
+
+    /// Dispatches every queued request of an older snapshot generation,
+    /// then **one** batch of the current one — the oldest
+    /// `min(queue_len, max_batch)` requests, however few are queued — and
+    /// returns every request's typed [`Outcome`] (completions and
+    /// timeouts) in admission order; an empty queue returns an empty
+    /// vector. No batch spans two generations. Drive this from a serving
+    /// loop; tests and offline use can call [`Engine::flush_outcomes`]
+    /// instead. A caller that wants only the responses filters with
     /// [`Outcome::completed`].
     pub fn step_outcomes(&mut self) -> Vec<Outcome> {
-        let n = self.queue.len().min(self.cfg.max_batch);
-        let batch: Vec<Pending> = self.queue.drain(..n).collect();
-        self.dispatch(batch)
+        let mut out = Vec::new();
+        while self.queue.front().is_some_and(|p| p.gen != self.gen) {
+            out.extend(self.dispatch());
+        }
+        out.extend(self.dispatch());
+        out
     }
 
     /// Steps until the queue is empty and returns every request's typed
@@ -462,20 +490,18 @@ impl<'a> Engine<'a> {
     /// bit-identity tests can compare the engine against direct
     /// beam-search calls on the same tokens.
     pub fn render_prompt(&self, history: &[u32]) -> Vec<u32> {
-        let capped = if history.len() > self.cfg.max_hist_items {
-            &history[history.len() - self.cfg.max_hist_items..] // lint: allow(panic, reason = "the branch guard makes the start offset at most history.len()")
-        } else {
-            history
-        };
-        let segs =
-            [Seg::Text(self.cfg.template.clone()), Seg::Items(capped.to_vec())];
-        self.vocab.render_prompt(&segs, self.lm.config().max_seq)
+        self.parts.prompt_for(&self.cfg, history)
     }
 
-    fn dispatch(&mut self, batch: Vec<Pending>) -> Vec<Outcome> {
-        if batch.is_empty() {
+    /// Decodes one batch: the oldest `max_batch` queued requests that
+    /// share the front request's generation, against that generation's
+    /// parts.
+    fn dispatch(&mut self) -> Vec<Outcome> {
+        let Some((gen, parts)) = self.queue.front().map(|p| (p.gen, p.parts)) else {
             return Vec::new();
-        }
+        };
+        let n = self.queue.iter().take(self.cfg.max_batch).take_while(|p| p.gen == gen).count();
+        let batch: Vec<Pending> = self.queue.drain(..n).collect();
         let _span = lcrec_obs::span("serve.batch");
         let obs_on = lcrec_obs::enabled();
         if obs_on {
@@ -537,14 +563,18 @@ impl<'a> Engine<'a> {
             return slots.into_iter().flatten().collect();
         }
         let prompts: Vec<Vec<u32>> =
-            live.iter().map(|(_, p)| self.render_prompt(&p.history)).collect();
+            live.iter().map(|(_, p)| parts.prompt_for(&self.cfg, &p.history)).collect();
         let widths: Vec<usize> =
             live.iter().map(|(_, p)| p.k.max(self.cfg.beam)).collect();
+        if !std::ptr::eq(parts.lm, self.scratch_lm) {
+            self.scratch = parts.lm.new_scratch();
+            self.scratch_lm = parts.lm;
+        }
         let ranked_lists = multi_constrained_beam_search_scratch(
             &self.pool,
-            self.lm,
-            self.vocab,
-            self.trie,
+            parts.lm,
+            parts.vocab,
+            parts.trie,
             &prompts,
             &widths,
             &mut self.scratch,
@@ -633,6 +663,28 @@ mod tests {
     }
 
     #[test]
+    fn a_step_drains_older_generations_then_one_current_batch() {
+        let (lm, vocab, trie) = setup();
+        let cfg = ServeConfig { max_batch: 2, ..ServeConfig::default() };
+        let mut engine = Engine::new(&lm, &vocab, &trie, cfg);
+        let old: Vec<u64> =
+            (0..3).map(|i| engine.submit(&[i % 4], 2).expect("admitted")).collect();
+        engine.swap(&lm, &vocab, &trie);
+        let cur: Vec<u64> =
+            (0..3).map(|i| engine.submit(&[i % 4], 2).expect("admitted")).collect();
+        // Every old-generation request (batches of 2 and 1), then one batch
+        // of the current generation.
+        let first = completed(engine.step_outcomes());
+        let ids: Vec<u64> = first.iter().map(|r| r.id).collect();
+        assert_eq!(ids, [&old[..], &cur[..2]].concat());
+        let sizes: Vec<usize> = first.iter().map(|r| r.batch_size).collect();
+        assert_eq!(sizes, vec![2, 2, 1, 2, 2]);
+        let rest = completed(engine.step_outcomes());
+        assert_eq!(rest.iter().map(|r| (r.id, r.batch_size)).collect::<Vec<_>>(), vec![(cur[2], 1)]);
+        assert_eq!(engine.queue_len(), 0);
+    }
+
+    #[test]
     fn responses_keep_admission_order_and_ids() {
         let (lm, vocab, trie) = setup();
         let cfg = ServeConfig { max_batch: 2, ..ServeConfig::default() };
@@ -660,14 +712,5 @@ mod tests {
             assert_eq!(a.item, b.item);
             assert_eq!(a.logprob.to_bits(), b.logprob.to_bits());
         }
-    }
-
-    #[test]
-    fn from_env_falls_back_to_defaults() {
-        // The test runner may or may not have the vars set; either way the
-        // config must be well-formed (clamped to ≥ 1 where required).
-        let cfg = ServeConfig::from_env();
-        assert!(cfg.max_batch >= 1);
-        assert!(cfg.queue_cap >= 1);
     }
 }

@@ -219,52 +219,152 @@ fn hot_swap_completes_in_flight_on_old_snapshot_with_zero_drops() {
         "the checkpoint must actually change answers, or this test proves nothing"
     );
 
-    let cfg = RouterConfig { shards: 2, shard: shard_cfg(reqs.len()), ..RouterConfig::default() };
-    let mut router = Router::new(&lm_old, &vocab, &trie, cfg);
-    let pre_tickets: Vec<u64> = pre
-        .iter()
-        .map(|(user, hist)| router.submit(*user, hist, 5).expect("fleet has room"))
-        .collect();
-    assert_eq!(router.queue_depth(), pre.len(), "pre-swap requests still queued");
+    // With one shard a single engine decodes both LMs, so a decode scratch
+    // (cached LM-head transpose) kept across the swap would show up as
+    // old-head bits on post-swap tickets.
+    for shards in [1, 2] {
+        let cfg = RouterConfig { shards, shard: shard_cfg(reqs.len()), ..RouterConfig::default() };
+        let mut router = Router::new(&lm_old, &vocab, &trie, cfg);
+        let pre_tickets: Vec<u64> = pre
+            .iter()
+            .map(|(user, hist)| router.submit(*user, hist, 5).expect("fleet has room"))
+            .collect();
+        assert_eq!(router.queue_depth(), pre.len(), "pre-swap requests still queued");
 
-    // Flip snapshots while those requests are in flight.
-    let flushed = router.hot_swap(&lm_new, &vocab, &trie);
-    assert!(flushed.is_empty(), "no previous standby generation existed");
-    assert_eq!(router.epoch(), 1);
-    assert_eq!(router.queue_depth(), pre.len(), "the swap cancels nothing");
+        // Flip snapshots while those requests are in flight.
+        router.hot_swap(&lm_new, &vocab, &trie);
+        assert_eq!(router.epoch(), 1);
+        assert_eq!(router.queue_depth(), pre.len(), "the swap cancels nothing");
 
-    let post_tickets: Vec<u64> = post
-        .iter()
-        .map(|(user, hist)| router.submit(*user, hist, 5).expect("fleet has room"))
-        .collect();
+        let post_tickets: Vec<u64> = post
+            .iter()
+            .map(|(user, hist)| router.submit(*user, hist, 5).expect("fleet has room"))
+            .collect();
+        let outcomes = router.flush_outcomes();
+
+        // Zero dropped outcomes: every ticket resolves exactly once.
+        assert_eq!(outcomes.len(), pre.len() + post.len());
+        assert_eq!(router.pending_len(), 0);
+        let mut seen: Vec<u64> = outcomes.iter().map(RouterOutcome::id).collect();
+        seen.sort_unstable();
+        let mut expected: Vec<u64> =
+            pre_tickets.iter().chain(&post_tickets).copied().collect();
+        expected.sort_unstable();
+        assert_eq!(seen, expected);
+
+        let bits_of = |ticket: u64| -> Vec<(u32, u32)> {
+            let response = outcomes
+                .iter()
+                .find(|o| o.id() == ticket)
+                .cloned()
+                .and_then(RouterOutcome::completed)
+                .expect("completed");
+            ranked_bits(&response.ranked)
+        };
+        // In-flight (pre-swap) requests decoded on the OLD snapshot…
+        for (ticket, want) in pre_tickets.iter().zip(&old_bits) {
+            assert_eq!(
+                &bits_of(*ticket),
+                want,
+                "pre-swap ticket {ticket} left the old snapshot ({shards} shards)"
+            );
+        }
+        // …while post-swap admissions decoded on the NEW one.
+        for (ticket, want) in post_tickets.iter().zip(&new_bits) {
+            assert_eq!(
+                &bits_of(*ticket),
+                want,
+                "post-swap ticket {ticket} missed the new snapshot ({shards} shards)"
+            );
+        }
+    }
+}
+
+#[test]
+fn generations_queued_side_by_side_decode_on_their_own_tries() {
+    let (workload, vocab, _) = catalog();
+    let lm = CausalLm::new(scale_lm_config(None, vocab.len()));
+    // Three catalog snapshots over one vocabulary: the first 16, 40 and
+    // all 64 items.
+    let trie_of = |n: usize| {
+        let idx = vocab.indices();
+        let codes = idx.codes.iter().take(n).cloned().collect();
+        IndexTrie::build(&ItemIndices::new(idx.codebook_sizes.clone(), codes))
+    };
+    let tries = [trie_of(16), trie_of(40), trie_of(64)];
+    let reqs = traffic(&workload, 15);
+    let gens: Vec<&[(u64, Vec<u32>)]> = reqs.chunks(5).collect();
+    let direct = |trie: &IndexTrie, reqs: &[(u64, Vec<u32>)]| -> Vec<Vec<(u32, u32)>> {
+        let mut engine = Engine::new(&lm, &vocab, trie, shard_cfg(reqs.len()));
+        for (_, hist) in reqs {
+            engine.submit(hist, 5).expect("queue sized to the load");
+        }
+        engine
+            .flush_outcomes()
+            .into_iter()
+            .filter_map(Outcome::completed)
+            .map(|r| ranked_bits(&r.ranked))
+            .collect()
+    };
+    let want: Vec<Vec<Vec<(u32, u32)>>> =
+        tries.iter().zip(&gens).map(|(trie, reqs)| direct(trie, reqs)).collect();
+    for (g, reqs) in gens.iter().enumerate().skip(1) {
+        assert_ne!(
+            direct(&tries[g - 1], reqs),
+            want[g],
+            "snapshot {g} must change answers, or this test proves nothing"
+        );
+    }
+
+    // Admit A under trie0, swap to trie1 with no step in between, admit B,
+    // swap to trie2, admit C; then flush everything.
+    let shard = shard_cfg(reqs.len());
+    let max_batch = shard.max_batch;
+    let cfg = RouterConfig { shards: 2, shard, ..RouterConfig::default() };
+    let mut router = Router::new(&lm, &vocab, &tries[0], cfg);
+    let mut tickets: Vec<Vec<u64>> = Vec::new();
+    for (g, reqs) in gens.iter().enumerate() {
+        if g > 0 {
+            let swapped = router.swap_catalog(&lm, &vocab, &tries[g], g as u64);
+            assert!(swapped.is_empty(), "a swap resolves no ticket");
+        }
+        tickets.push(
+            reqs.iter()
+                .map(|(user, hist)| router.submit(*user, hist, 5).expect("fleet has room"))
+                .collect(),
+        );
+    }
+    assert_eq!(router.queue_depth(), reqs.len(), "the swaps cancel nothing");
     let outcomes = router.flush_outcomes();
 
-    // Zero dropped outcomes: every ticket resolves exactly once.
-    assert_eq!(outcomes.len(), pre.len() + post.len());
+    // Every ticket resolves exactly once.
+    assert_eq!(outcomes.len(), reqs.len());
     assert_eq!(router.pending_len(), 0);
     let mut seen: Vec<u64> = outcomes.iter().map(RouterOutcome::id).collect();
     seen.sort_unstable();
-    let mut expected: Vec<u64> =
-        pre_tickets.iter().chain(&post_tickets).copied().collect();
-    expected.sort_unstable();
-    assert_eq!(seen, expected);
+    assert_eq!(seen, tickets.concat());
 
-    let bits_of = |ticket: u64| -> Vec<(u32, u32)> {
-        let response = outcomes
-            .iter()
-            .find(|o| o.id() == ticket)
-            .cloned()
-            .and_then(RouterOutcome::completed)
-            .expect("completed");
-        ranked_bits(&response.ranked)
-    };
-    // In-flight (pre-swap) requests decoded on the OLD snapshot…
-    for (ticket, want) in pre_tickets.iter().zip(&old_bits) {
-        assert_eq!(&bits_of(*ticket), want, "pre-swap ticket {ticket} left the old snapshot");
-    }
-    // …while post-swap admissions decoded on the NEW one.
-    for (ticket, want) in post_tickets.iter().zip(&new_bits) {
-        assert_eq!(&bits_of(*ticket), want, "post-swap ticket {ticket} missed the new snapshot");
+    for (g, (gen_tickets, gen_want)) in tickets.iter().zip(&want).enumerate() {
+        // Each generation decoded against its own trie…
+        let mut by_shard: Vec<Vec<usize>> = vec![Vec::new(); router.shard_count()];
+        for (ticket, want) in gen_tickets.iter().zip(gen_want) {
+            let Some(RouterOutcome::Completed { shard, response, .. }) =
+                outcomes.iter().find(|o| o.id() == *ticket)
+            else {
+                panic!("ticket {ticket} did not complete");
+            };
+            assert_eq!(&ranked_bits(&response.ranked), want, "ticket {ticket} left trie{g}");
+            by_shard[*shard].push(response.batch_size);
+        }
+        // …in batches that held only that generation: on each shard its n
+        // requests went out as full batches of max_batch, then the rest.
+        for sizes in by_shard {
+            let n = sizes.len();
+            let full = n / max_batch * max_batch;
+            let expected: Vec<usize> =
+                (0..n).map(|i| if i < full { max_batch } else { n - full }).collect();
+            assert_eq!(sizes, expected, "a trie{g} batch held another generation");
+        }
     }
 }
 
